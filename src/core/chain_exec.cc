@@ -11,6 +11,38 @@
 
 namespace harmony {
 
+namespace {
+
+/// Truncates every candidate column to the first `w` rows — the survivors
+/// a scan compacted to the front.
+void KeepSurvivors(const ExecContext& ctx, size_t w, ChainCandidates* cand) {
+  cand->id.resize(w);
+  cand->list.resize(w);
+  cand->row.resize(w);
+  cand->partial.resize(w);
+  if (ctx.use_pq) cand->bound.resize(w);
+  if (ctx.use_norms) cand->rem_p_sq.resize(w);
+}
+
+}  // namespace
+
+StageScanOutcome ExecBackend::ScanStage(const ExecContext& ctx,
+                                        const QueryChain& /*chain*/,
+                                        size_t /*d*/, size_t machine,
+                                        const BlockScanParams& scan,
+                                        ChainCandidates* cand) {
+  BlockScanCounters counters;
+  const size_t w = ScanBlock(
+      scan, 0, cand->id.size(), cand->id.data(), cand->list.data(),
+      cand->row.data(), cand->partial.data(),
+      ctx.use_norms ? cand->rem_p_sq.data() : nullptr,
+      ctx.use_pq ? cand->bound.data() : nullptr, &counters);
+  KeepSurvivors(ctx, w, cand);
+  StageScanOutcome out;
+  out.machine = machine;
+  return out;
+}
+
 ChainLossSchedule ComputeChainSchedule(const ExecContext& ctx,
                                        const QueryChain& chain) {
   // Drop coins, start-dead machines, replica rotations and folded health
@@ -533,6 +565,14 @@ void ChainExecutor::PostFirstSoloHop(
   ledger_->BookDelivery(attempts);
 }
 
+void ChainExecutor::ChargeScanBytes(size_t machine, uint64_t bytes) {
+  if (ctx_.use_pq) {
+    backend_->ChargeCompressedBytes(machine, bytes);
+  } else {
+    backend_->ChargeStreamedBytes(machine, bytes);
+  }
+}
+
 void ChainExecutor::RunGroupStage(std::shared_ptr<GroupExecState> group) {
   const PartitionPlan& plan = *ctx_.plan;
   const size_t d = group->order[group->pos];
@@ -602,36 +642,21 @@ void ChainExecutor::RunGroupStage(std::shared_ptr<GroupExecState> group) {
     const size_t machine = GroupStageMachine(*group, d);
     const uint64_t scan_bytes =
         ScanBlockGroup(params, scans.data(), scans.size());
-    auto charge = [&](size_t m, uint64_t bytes) {
-      if (ctx_.use_pq) {
-        backend_->ChargeCompressedBytes(m, bytes);
-      } else {
-        backend_->ChargeStreamedBytes(m, bytes);
-      }
-    };
-    charge(machine, scan_bytes);
+    ChargeScanBytes(machine, scan_bytes);
     // Hedged stage: the second replica streams the same rows; the loser's
     // bytes are still billed. All active members carry the same
     // (primary-keyed) hedge bit, so reading the first one is well defined.
     const ChainLossSchedule& sched0 = active.front()->sched;
     if (((sched0.hedge_mask >> d) & 1) != 0) {
-      charge(static_cast<size_t>(plan.ReplicaOf(
-                 static_cast<size_t>(group->shard), d,
-                 static_cast<size_t>(sched0.hedge_replica[d]))),
-             scan_bytes);
+      ChargeScanBytes(static_cast<size_t>(plan.ReplicaOf(
+                          static_cast<size_t>(group->shard), d,
+                          static_cast<size_t>(sched0.hedge_replica[d]))),
+                      scan_bytes);
     }
     for (size_t i = 0; i < active.size(); ++i) {
       ChainExecState* m = active[i];
-      const size_t w = scans[i].survivors;
-      m->cand.id.resize(w);
-      m->cand.list.resize(w);
-      m->cand.row.resize(w);
-      m->cand.partial.resize(w);
-      if (ctx_.use_pq) m->cand.bound.resize(w);
-      if (ctx_.use_norms) {
-        m->cand.rem_p_sq.resize(w);
-        m->rem_q_sq -= m->cand.q_block_norm[d];
-      }
+      KeepSurvivors(ctx_, scans[i].survivors, &m->cand);
+      if (ctx_.use_norms) m->rem_q_sq -= m->cand.q_block_norm[d];
       ++m->processed;
       m->scanned_mask |= uint64_t{1} << d;
     }
@@ -647,51 +672,44 @@ void ChainExecutor::RunSoloStage(std::shared_ptr<ChainExecState> task) {
   const PartitionPlan& plan = *ctx_.plan;
   const QueryChain& chain = *task->chain;
   const size_t shard = static_cast<size_t>(chain.shard);
-  const size_t p = task->pos;
-  const size_t d = task->order[p];
+  const size_t d = task->order[task->pos];
   const DimRange range = plan.dim_ranges[d];
 
-  const BlockScanParams scan =
-      MakeStageScanParams(ctx_, backend_, chain, task->cand, d, p,
-                          task->rem_q_sq);
-  BlockScanCounters counters;
   ChainCandidates& cand = task->cand;
-  const size_t w = ScanBlock(
-      scan, 0, cand.id.size(), cand.id.data(), cand.list.data(),
-      cand.row.data(), cand.partial.data(),
-      ctx_.use_norms ? cand.rem_p_sq.data() : nullptr,
-      ctx_.use_pq ? cand.bound.data() : nullptr, &counters);
-  cand.id.resize(w);
-  cand.list.resize(w);
-  cand.row.resize(w);
-  cand.partial.resize(w);
-  if (ctx_.use_pq) cand.bound.resize(w);
-  if (ctx_.use_norms) {
-    cand.rem_p_sq.resize(w);
-    task->rem_q_sq -= cand.q_block_norm[d];
-  }
-  task->scanned_mask |= uint64_t{1} << d;
-  // Unshared scans stream every survivor's row for this chain alone — on
-  // the schedule-chosen replica of the block (replica 0 unrouted). Under PQ
-  // streams the stage reads the code stream, not the float rows.
-  const uint64_t row_bytes =
-      ctx_.use_pq ? scan.code_size : range.width() * sizeof(float);
-  const uint64_t scan_bytes = static_cast<uint64_t>(w) * row_bytes;
-  auto charge = [&](size_t m, uint64_t bytes) {
-    if (ctx_.use_pq) {
-      backend_->ChargeCompressedBytes(m, bytes);
-    } else {
-      backend_->ChargeStreamedBytes(m, bytes);
+  const BlockScanParams scan = MakeStageScanParams(
+      ctx_, backend_, chain, cand, d, task->processed, task->rem_q_sq);
+  const StageScanOutcome stage = backend_->ScanStage(
+      ctx_, chain, d,
+      static_cast<size_t>(plan.ReplicaOf(shard, d, HopReplica(*task, d))),
+      scan, &cand);
+  const size_t w = cand.id.size();
+  if (stage.delivered) {
+    ledger_->BookDelivery(stage.attempts);
+    for (uint32_t i = 0; i < stage.failovers; ++i) ledger_->BookFailover();
+    if (ctx_.use_norms) task->rem_q_sq -= cand.q_block_norm[d];
+    ++task->processed;
+    task->scanned_mask |= uint64_t{1} << d;
+    // Unshared scans stream every survivor's row for this chain alone — on
+    // the replica that served the stage (the schedule-chosen one in
+    // process, replica 0 unrouted). Under PQ streams the stage reads the
+    // code stream, not the float rows.
+    const uint64_t row_bytes =
+        ctx_.use_pq ? scan.code_size : range.width() * sizeof(float);
+    const uint64_t scan_bytes = static_cast<uint64_t>(w) * row_bytes;
+    ChargeScanBytes(stage.machine, scan_bytes);
+    // Hedged stage: the second replica streams the same rows; the loser's
+    // bytes are still billed.
+    if (((task->sched.hedge_mask >> d) & 1) != 0) {
+      ChargeScanBytes(
+          static_cast<size_t>(plan.ReplicaOf(
+              shard, d, static_cast<size_t>(task->sched.hedge_replica[d]))),
+          scan_bytes);
     }
-  };
-  charge(static_cast<size_t>(plan.ReplicaOf(shard, d, HopReplica(*task, d))),
-         scan_bytes);
-  // Hedged stage: the second replica streams the same rows; the loser's
-  // bytes are still billed.
-  if (((task->sched.hedge_mask >> d) & 1) != 0) {
-    charge(static_cast<size_t>(plan.ReplicaOf(
-               shard, d, static_cast<size_t>(task->sched.hedge_replica[d]))),
-           scan_bytes);
+  } else {
+    // No replica could serve the block: it is lost and the query runs on
+    // degraded (rem_q_sq keeps the block's mass, so the pruning bound stays
+    // conservative without it scanned).
+    ledger_->BookDynamicHopLoss(chain.query, ctx_.max_retries);
   }
 
   // Hand the baton to the next surviving block. Statically lost blocks were
@@ -699,7 +717,7 @@ void ChainExecutor::RunSoloStage(std::shared_ptr<ChainExecState> task) {
   // succeeds; the loop is the defensive failover for a hop lost anyway
   // (e.g. a plan whose crash schedule changed mid-run), which skips the
   // block and degrades the chain instead of dropping the baton.
-  size_t next = p + 1;
+  size_t next = task->pos + 1;
   while (next < task->order.size() && w > 0) {
     const size_t nd = task->order[next];
     const size_t nr = HopReplica(*task, nd);

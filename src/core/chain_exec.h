@@ -15,10 +15,26 @@
 
 namespace harmony {
 
+/// What one dimension-stage scan reports back to ChainExecutor, which books
+/// it through the FaultLedger.
+struct StageScanOutcome {
+  /// False when no replica of the block could serve the scan: the block is
+  /// lost and the candidates are left untouched.
+  bool delivered = true;
+  /// Machine whose store served the scan; billed for the streamed rows.
+  size_t machine = 0;
+  /// Delivery attempts the serving machine took (1 = first try).
+  uint32_t attempts = 1;
+  /// Replicas passed over before the serving one (dead or unreachable);
+  /// each books one failover.
+  uint32_t failovers = 0;
+};
+
 /// \brief What the shared chain/group lifecycle needs from an execution
-/// substrate. Two implementations: the SimCluster virtual-clock backend
-/// (core/pipeline.cc) and the ThreadedCluster thread-pool backend
-/// (core/coordinator.cc).
+/// substrate. Three implementations: the SimCluster virtual-clock backend
+/// (core/pipeline.cc), the ThreadedCluster thread-pool backend
+/// (core/coordinator.cc) and the socket backend, whose stage scans are
+/// RPCs to worker processes (net/socket_backend.cc).
 ///
 /// The threaded backend is push-driven: the lifecycle posts each stage
 /// continuation into the owning node's mailbox (PostStage / PostHop). The
@@ -26,7 +42,8 @@ namespace harmony {
 /// stages by virtual time, so stage continuations carry explicit readiness
 /// instead of posts; its PostStage/PostHop therefore execute the stage
 /// inline on the caller (the only time-free reading of "post" a
-/// virtual-clock substrate has).
+/// virtual-clock substrate has). The socket backend also runs posts inline:
+/// its one frontend thread walks each chain while the workers scan.
 class ExecBackend {
  public:
   virtual ~ExecBackend() = default;
@@ -61,6 +78,16 @@ class ExecBackend {
   virtual uint32_t PostHop(size_t machine, uint64_t msg_key,
                            uint32_t max_retries,
                            std::function<void()> stage) = 0;
+  /// Runs a solo chain's dimension-stage scan of block `d` over `cand`,
+  /// compacting the survivors in place. `machine` is the replica the
+  /// chain's hop landed on. The default scans that machine's store in
+  /// process (ScanBlock); a remote substrate ships the scan to a worker and
+  /// may serve it from another replica or lose the block.
+  virtual StageScanOutcome ScanStage(const ExecContext& ctx,
+                                     const QueryChain& chain, size_t d,
+                                     size_t machine,
+                                     const BlockScanParams& scan,
+                                     ChainCandidates* cand);
 };
 
 /// \brief The static routing + loss schedule of one chain: a pure function
@@ -140,7 +167,8 @@ class FaultLedger {
   void BookStaticChainLoss(const ChainLossSchedule& loss, int32_t query,
                            uint32_t max_retries);
   /// Books a hop rerouted to a surviving replica after its target failed
-  /// mid-run (simulated engine; static failovers book via the schedule).
+  /// mid-run (simulated engine and remote stage scans; static failovers
+  /// book via the schedule).
   void BookFailover() { failovers_.fetch_add(1, std::memory_order_relaxed); }
   /// Books a block loss observed mid-run (a baton ran into a crashed
   /// machine): counted once per (chain, block), degrading the query only
@@ -149,8 +177,9 @@ class FaultLedger {
     if (first_loss) blocks_lost_.fetch_add(1, std::memory_order_relaxed);
     if (degrade) backend_->TagDegraded(query);
   }
-  /// Books a baton hop lost past the retry budget mid-run (threaded solo
-  /// path): the block is lost and the query degrades.
+  /// Books a baton hop lost past the retry budget mid-run, or a stage scan
+  /// no replica could serve (solo path): the block is lost and the query
+  /// degrades.
   void BookDynamicHopLoss(int32_t query, uint32_t max_retries) {
     BookLostMessage(max_retries);
     blocks_lost_.fetch_add(1, std::memory_order_relaxed);
@@ -318,8 +347,9 @@ struct ChainExecState {
   /// group order and skipped per member via this mask instead of being
   /// stripped (other members may still want them).
   uint64_t lost_mask = 0;
-  /// Stages this member actually scanned; gates pruning exactly as the solo
-  /// path's `pos > 0` does (the first scanned stage has no partials yet).
+  /// Stages this chain actually scanned; gates pruning (the first scanned
+  /// stage has no partials yet). Lags the pipeline position wherever a
+  /// block was skipped — lost, or not wanted by this group member.
   size_t processed = 0;
   /// Dimension blocks this chain actually scanned (bit d set after block d's
   /// stage ran). PQ streams rerank exactly these blocks from the float
@@ -344,10 +374,10 @@ struct GroupExecState {
 
 /// \brief Drives chain and group lifecycles — candidate build, static loss
 /// application, stage execution, baton/group hops, fault booking, result
-/// merge — over an ExecBackend. The threaded engine is a thin shell around
-/// this class; the simulated engine shares the per-stage pieces (loss
-/// schedules, ordering, booking, scan parameters, billing) but schedules
-/// stages from its own virtual-time event loop.
+/// merge — over an ExecBackend. The threaded and socket engines drive it
+/// end to end (RunChainBatch); the simulated engine shares the per-stage
+/// pieces (loss schedules, ordering, booking, scan parameters, billing) but
+/// schedules stages from its own virtual-time event loop.
 class ChainExecutor {
  public:
   /// `on_done` fires once per finished chain (solo) or group baton.
@@ -409,6 +439,9 @@ class ChainExecutor {
   /// group shares one (probe_rank, shard) replica order).
   size_t GroupStageMachine(const GroupExecState& group, size_t d) const;
 
+  /// Bills a stage scan's bytes to `machine`: compressed code-stream bytes
+  /// under PQ streams, float row bytes otherwise.
+  void ChargeScanBytes(size_t machine, uint64_t bytes);
   void RunSoloStage(std::shared_ptr<ChainExecState> task);
   void RunGroupStage(std::shared_ptr<GroupExecState> group);
   void MergeChainResults(const ChainExecState& task);

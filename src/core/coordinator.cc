@@ -7,18 +7,15 @@
 #include <mutex>
 #include <unordered_map>
 
-#include "core/chain_exec.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
 namespace harmony {
 
-namespace {
-
 /// Mutable per-query state shared across threads; the mutex guards the heap
 /// (pruning threshold reads and result merges).
-struct SharedQueryState {
-  explicit SharedQueryState(size_t k) : heap(k) {}
+struct ChainBatchBackend::QueryState {
+  explicit QueryState(size_t k) : heap(k) {}
   std::mutex mu;
   TopKHeap heap;
   std::unordered_set<int64_t> prewarmed_ids;
@@ -35,45 +32,61 @@ struct SharedQueryState {
   std::atomic<double> done_seconds{-1.0};
 };
 
+ChainBatchBackend::ChainBatchBackend() = default;
+ChainBatchBackend::~ChainBatchBackend() = default;
+
+void ChainBatchBackend::ReadThreshold(int32_t query, float* tau,
+                                      bool* heap_full) {
+  QueryState& state = *states_[static_cast<size_t>(query)];
+  std::lock_guard<std::mutex> lock(state.mu);
+  *tau = state.heap.threshold();
+  *heap_full = state.heap.full();
+}
+
+const std::unordered_set<int64_t>* ChainBatchBackend::PrewarmedIds(
+    size_t query) {
+  return &states_[query]->prewarmed_ids;
+}
+
+void ChainBatchBackend::WithQueryHeap(
+    int32_t query, const std::function<void(TopKHeap&)>& fn) {
+  QueryState& state = *states_[static_cast<size_t>(query)];
+  std::lock_guard<std::mutex> lock(state.mu);
+  fn(state.heap);
+}
+
+void ChainBatchBackend::TagDegraded(int32_t query) {
+  states_[static_cast<size_t>(query)]->degraded.store(
+      true, std::memory_order_relaxed);
+}
+
+void ChainBatchBackend::ChargeStreamedBytes(size_t /*machine*/,
+                                            uint64_t bytes) {
+  bytes_streamed_.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+void ChainBatchBackend::ChargeCompressedBytes(size_t /*machine*/,
+                                              uint64_t bytes) {
+  bytes_streamed_.fetch_add(bytes, std::memory_order_relaxed);
+  bytes_compressed_.fetch_add(bytes, std::memory_order_relaxed);
+}
+
+namespace {
+
 /// The ThreadedCluster execution substrate: stages are continuations posted
-/// into per-node thread pools, heap access is mutex-guarded, degraded flags
-/// are atomics, and streamed bytes accumulate on the cluster (real threads
-/// have no per-machine virtual clock to bill).
-class ThreadedBackend : public ExecBackend {
+/// into per-node thread pools.
+class ThreadedBackend final : public ChainBatchBackend {
  public:
-  explicit ThreadedBackend(
-      std::vector<std::unique_ptr<SharedQueryState>>* states)
-      : states_(states) {}
+  void Open(ExecContext* ctx) override {
+    cluster_ = std::make_unique<ThreadedCluster>(
+        ctx->plan->num_machines, ctx->opts->faults,
+        ctx->opts->threads_per_node);
+    ctx->AttachFaults(&cluster_->faults());
+  }
+  /// Joins the node pools: every task still running finishes first,
+  /// including on the timeout early-returns.
+  void Close() override { cluster_.reset(); }
 
-  /// The cluster is constructed after the backend (its destructor must join
-  /// worker threads while the backend is still alive).
-  void set_cluster(ThreadedCluster* cluster) { cluster_ = cluster; }
-
-  void ReadThreshold(int32_t query, float* tau, bool* heap_full) override {
-    SharedQueryState& state = *(*states_)[static_cast<size_t>(query)];
-    std::lock_guard<std::mutex> lock(state.mu);
-    *tau = state.heap.threshold();
-    *heap_full = state.heap.full();
-  }
-  const std::unordered_set<int64_t>* PrewarmedIds(size_t query) override {
-    return &(*states_)[query]->prewarmed_ids;
-  }
-  void WithQueryHeap(int32_t query,
-                     const std::function<void(TopKHeap&)>& fn) override {
-    SharedQueryState& state = *(*states_)[static_cast<size_t>(query)];
-    std::lock_guard<std::mutex> lock(state.mu);
-    fn(state.heap);
-  }
-  void TagDegraded(int32_t query) override {
-    (*states_)[static_cast<size_t>(query)]->degraded.store(
-        true, std::memory_order_relaxed);
-  }
-  void ChargeStreamedBytes(size_t /*machine*/, uint64_t bytes) override {
-    cluster_->ChargeStreamedBytes(bytes);
-  }
-  void ChargeCompressedBytes(size_t /*machine*/, uint64_t bytes) override {
-    cluster_->ChargeCompressedBytes(bytes);
-  }
   void PostStage(size_t machine, std::function<void()> stage) override {
     cluster_->Post(machine, std::move(stage));
   }
@@ -84,19 +97,17 @@ class ThreadedBackend : public ExecBackend {
   }
 
  private:
-  std::vector<std::unique_ptr<SharedQueryState>>* states_;
-  ThreadedCluster* cluster_ = nullptr;
+  std::unique_ptr<ThreadedCluster> cluster_;
 };
 
 }  // namespace
 
-Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
-                                       const PartitionPlan& plan,
-                                       const std::vector<WorkerStore>& stores,
-                                       const PrewarmCache& prewarm,
-                                       const BatchRouting& routing,
-                                       const DatasetView& queries,
-                                       const ExecOptions& opts) {
+Result<ThreadedOutput> RunChainBatch(
+    const IvfIndex& index, const PartitionPlan& plan,
+    const std::vector<WorkerStore>& stores, const PrewarmCache& prewarm,
+    const BatchRouting& routing, const DatasetView& queries,
+    const ExecOptions& opts, bool allow_groups, ChainBatchBackend* backend) {
+  using QueryState = ChainBatchBackend::QueryState;
   if (stores.size() != plan.num_machines) {
     return Status::InvalidArgument("store count does not match plan");
   }
@@ -104,12 +115,12 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
   HARMONY_ASSIGN_OR_RETURN(
       ExecContext ctx, MakeExecContext(index, plan, stores, prewarm, routing,
                                        queries, opts));
-  const size_t b_dim = ctx.b_dim;
 
-  std::vector<std::unique_ptr<SharedQueryState>> states;
+  std::vector<std::unique_ptr<QueryState>>& states = backend->states_;
+  HARMONY_CHECK_MSG(states.empty(), "a ChainBatchBackend runs one batch");
   states.reserve(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    states.push_back(std::make_unique<SharedQueryState>(opts.k));
+    states.push_back(std::make_unique<QueryState>(opts.k));
   }
   // Per-query chain budget: every routed chain is either executed through
   // the ChainExecutor (which then reports it via on_chain_done) or skipped
@@ -119,19 +130,19 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
     states[static_cast<size_t>(chain.query)]->chains_left.fetch_add(
         1, std::memory_order_relaxed);
   }
-  ThreadedBackend backend(&states);
 
-  // Node-health tracker: fed by the chain schedules on the client thread,
-  // folded at each rank barrier so replica selection sees the same
-  // quarantine flags in both engines. Declared before `cluster` (below) so
-  // any worker still draining outlives nothing it touches.
+  // Node-health tracker: fed by the chain schedules (and, over sockets, by
+  // the stage RPCs) on the client thread, folded at each rank barrier so
+  // replica selection sees the same quarantine flags in every engine.
+  // Declared before the substrate opens, so any stage still draining
+  // outlives nothing it touches.
   NodeHealthTracker health(plan.num_machines);
   ctx.AttachHealth(&health);
 
-  // Prewarm on the client (caller) thread; real threads bill no virtual
+  // Prewarm on the client (caller) thread; real clocks bill no virtual
   // ops, so the charge hook stays null.
   for (size_t q = 0; q < queries.size(); ++q) {
-    SharedQueryState& state = *states[q];
+    QueryState& state = *states[q];
     PrewarmQuery(ctx, q, &state.heap, &state.prewarmed_ids, {});
   }
 
@@ -140,8 +151,8 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
   std::mutex done_mu;
   std::condition_variable done_cv;
   size_t chains_remaining = 0;
-  FaultLedger ledger(&backend);
-  ChainExecutor executor(ctx, &backend, &ledger, [&] {
+  FaultLedger ledger(backend);
+  ChainExecutor executor(ctx, backend, &ledger, [&] {
     std::lock_guard<std::mutex> lock(done_mu);
     if (--chains_remaining == 0) done_cv.notify_all();
   });
@@ -149,7 +160,7 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
   // the query's real latency. `watch` is read concurrently from worker
   // threads; StopWatch only subtracts a const time_point, which is safe.
   const auto note_chain_done = [&states, &watch](int32_t query) {
-    SharedQueryState& state = *states[static_cast<size_t>(query)];
+    QueryState& state = *states[static_cast<size_t>(query)];
     if (state.chains_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       state.done_seconds.store(watch.ElapsedSeconds(),
                                std::memory_order_release);
@@ -164,15 +175,14 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
     }
   }
 
-  // NOTE: `cluster` is declared after every object its worker tasks touch
-  // (ctx, states, backend, ledger, executor, the done tracker) on purpose —
-  // its destructor joins the worker threads, so any task still running
-  // finishes before those objects are destroyed, including on the timeout
-  // early-returns below.
-  ThreadedCluster cluster(plan.num_machines, opts.faults,
-                          opts.threads_per_node);
-  backend.set_cluster(&cluster);
-  ctx.AttachFaults(&cluster.faults());
+  // The substrate opens after every object its stages touch (ctx, states,
+  // ledger, executor, the done tracker) and is closed by this guard before
+  // any of them dies — including on the timeout early-returns below.
+  backend->Open(&ctx);
+  struct CloseOnExit {
+    ChainBatchBackend* backend;
+    ~CloseOnExit() { backend->Close(); }
+  } close_on_exit{backend};
 
   // Builds the batch output. On the normal path every chain has finished and
   // nothing races; on the timeout-salvage path workers may still be running,
@@ -188,7 +198,7 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
     out.query_seconds.assign(queries.size(), -1.0);
     out.faults = ledger.Snapshot();
     for (size_t q = 0; q < queries.size(); ++q) {
-      SharedQueryState& state = *states[q];
+      QueryState& state = *states[q];
       {
         std::lock_guard<std::mutex> lock(state.mu);
         out.results[q] = state.heap.SortedResults();
@@ -207,8 +217,10 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
         }
       }
     }
-    out.bytes_streamed = cluster.bytes_streamed();
-    out.bytes_compressed = cluster.bytes_streamed_compressed();
+    out.bytes_streamed =
+        backend->bytes_streamed_.load(std::memory_order_relaxed);
+    out.bytes_compressed =
+        backend->bytes_compressed_.load(std::memory_order_relaxed);
     out.wall_seconds = watch.ElapsedSeconds();
     return out;
   };
@@ -216,7 +228,8 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
   // Shared scans need the routing's query-group table (RouteBatch with
   // group_size > 1); without it every group would be a singleton anyway, so
   // fall back to the solo dispatch path.
-  const bool group_mode = opts.shared_scans && routing.num_groups > 0 &&
+  const bool group_mode = allow_groups && opts.shared_scans &&
+                          routing.num_groups > 0 &&
                           routing.chain_group.size() == routing.chains.size();
 
   const auto deadline =
@@ -240,7 +253,7 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
         std::chrono::steady_clock::now() >= deadline) {
       // Budget already spent: don't start another rank.
       if (opts.timeout_partial_results) return assemble(/*timed_out=*/true);
-      return Status::Timeout("threaded batch exceeded max_wall_seconds");
+      return Status::Timeout("batch exceeded max_wall_seconds");
     }
 
     // Prepare the rank's chains on the client: candidate build, block
@@ -305,13 +318,14 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
           lock.unlock();
           if (opts.timeout_partial_results) return assemble(/*timed_out=*/true);
           return Status::Timeout(
-              "threaded batch exceeded max_wall_seconds; a baton was "
-              "lost or the cluster is wedged");
+              "batch exceeded max_wall_seconds; a baton was lost or the "
+              "cluster is wedged");
         }
       } else {
         done_cv.wait(lock, [&] { return chains_remaining == 0; });
       }
     }
+    HARMONY_RETURN_NOT_OK(backend->status());
     // Rank barrier: fold this rank's health observations so the next rank's
     // replica selection (client thread) reads a fixed epoch state.
     health.FoldEpoch();
@@ -319,6 +333,18 @@ Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
   }
 
   return assemble(/*timed_out=*/false);
+}
+
+Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,
+                                       const PartitionPlan& plan,
+                                       const std::vector<WorkerStore>& stores,
+                                       const PrewarmCache& prewarm,
+                                       const BatchRouting& routing,
+                                       const DatasetView& queries,
+                                       const ExecOptions& opts) {
+  ThreadedBackend backend;
+  return RunChainBatch(index, plan, stores, prewarm, routing, queries, opts,
+                       /*allow_groups=*/true, &backend);
 }
 
 }  // namespace harmony

@@ -1,8 +1,12 @@
 #ifndef HARMONY_CORE_COORDINATOR_H_
 #define HARMONY_CORE_COORDINATOR_H_
 
+#include <atomic>
+#include <memory>
+#include <unordered_set>
 #include <vector>
 
+#include "core/chain_exec.h"
 #include "core/partition.h"
 #include "core/pipeline.h"
 #include "core/pruning.h"
@@ -50,6 +54,61 @@ struct ThreadedOutput {
   /// rerank's re-reads bill into bytes_streamed only.
   uint64_t bytes_compressed = 0;
 };
+
+/// \brief ExecBackend base of the push-driven engines (ExecuteThreaded,
+/// ExecuteSocket). It owns the batch's per-query state — result heap,
+/// prewarmed ids, degraded flag, completion stamp — behind a per-query
+/// mutex, and the batch's byte counters (real clocks have no per-machine
+/// virtual clock to bill). Subclasses supply the substrate: stage posting
+/// and, for remote workers, the stage scan itself.
+class ChainBatchBackend : public ExecBackend {
+ public:
+  ChainBatchBackend();
+  ~ChainBatchBackend() override;
+
+  void ReadThreshold(int32_t query, float* tau, bool* heap_full) final;
+  const std::unordered_set<int64_t>* PrewarmedIds(size_t query) final;
+  void WithQueryHeap(int32_t query,
+                     const std::function<void(TopKHeap&)>& fn) final;
+  void TagDegraded(int32_t query) final;
+  void ChargeStreamedBytes(size_t machine, uint64_t bytes) final;
+  void ChargeCompressedBytes(size_t machine, uint64_t bytes) final;
+
+  /// Brings the substrate up for one batch, after `ctx` is resolved and its
+  /// health tracker attached.
+  virtual void Open(ExecContext* /*ctx*/) {}
+  /// Stops the substrate: no posted stage runs after it returns. The driver
+  /// calls it on every exit path, before its executor is destroyed.
+  virtual void Close() {}
+  /// First substrate failure of the batch (latched); the driver returns it
+  /// at the next rank barrier.
+  virtual Status status() const { return Status::OK(); }
+
+ private:
+  friend Result<ThreadedOutput> RunChainBatch(
+      const IvfIndex& index, const PartitionPlan& plan,
+      const std::vector<WorkerStore>& stores, const PrewarmCache& prewarm,
+      const BatchRouting& routing, const DatasetView& queries,
+      const ExecOptions& opts, bool allow_groups, ChainBatchBackend* backend);
+
+  struct QueryState;
+  std::vector<std::unique_ptr<QueryState>> states_;
+  std::atomic<uint64_t> bytes_streamed_{0};
+  std::atomic<uint64_t> bytes_compressed_{0};
+};
+
+/// \brief The rank-staged batch driver both push-driven engines run on:
+/// validates the inputs, prewarms every query, then dispatches chains rank
+/// by rank through ChainExecutor — solo batons, or query-group batons when
+/// `allow_groups` and the routing carries shared-scan groups — waits for the
+/// rank, folds node health at the barrier, and assembles the output from
+/// the ledger snapshot and the per-query state. Honors max_wall_seconds
+/// (fail or salvage) between and within ranks.
+Result<ThreadedOutput> RunChainBatch(
+    const IvfIndex& index, const PartitionPlan& plan,
+    const std::vector<WorkerStore>& stores, const PrewarmCache& prewarm,
+    const BatchRouting& routing, const DatasetView& queries,
+    const ExecOptions& opts, bool allow_groups, ChainBatchBackend* backend);
 
 /// \brief Runs the same vector/dimension pipeline as ExecuteSimulated on a
 /// real ThreadedCluster: every dimension-stage task executes on the thread

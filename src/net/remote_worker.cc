@@ -223,6 +223,10 @@ Status SocketWorker::ServeChannel(SocketChannel* ch,
   if (shim_.enabled()) ch->set_fault_injector(&shim_);
   ch->set_deadline_millis(opts_.poll_ms);
   std::vector<uint32_t> reply;
+  // Stage scans are served only once this connection's hello matched the
+  // worker's identity: a peer that skipped (or failed) the digest check
+  // could be scanning a diverged store.
+  bool handshaken = false;
   while (stop == nullptr || !stop->load(std::memory_order_relaxed)) {
     Result<WireMessage> msg = ch->Recv();
     if (!msg.ok()) {
@@ -239,6 +243,7 @@ Status SocketWorker::ServeChannel(SocketChannel* ch,
         Status check = theirs.ok()
                            ? CheckHelloMatch(hello_, theirs.value())
                            : theirs.status();
+        handshaken = check.ok();
         if (check.ok()) {
           EncodeHello(hello_, &reply);
           sent = ch->Send(kOpHelloAck, reply);
@@ -249,7 +254,10 @@ Status SocketWorker::ServeChannel(SocketChannel* ch,
         break;
       }
       case kOpStageScan: {
-        Result<std::vector<uint32_t>> res = HandleStageScan(msg.value().payload);
+        Result<std::vector<uint32_t>> res =
+            handshaken ? HandleStageScan(msg.value().payload)
+                       : Status::FailedPrecondition(
+                             "stage scan before a matching hello handshake");
         if (res.ok()) {
           sent = ch->Send(kOpStageResult, res.value());
         } else {

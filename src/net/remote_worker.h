@@ -74,7 +74,9 @@ class SocketWorker {
   Status Serve(SocketListener* listener, const std::atomic<bool>* stop);
 
   /// Serves one connection until the peer hangs up (OK), a transport error
-  /// tears it (the error), shutdown (OK), or the kill switch fires.
+  /// tears it (the error), shutdown (OK), or the kill switch fires. Stage
+  /// scans before a matching hello get a kFailedPrecondition error reply;
+  /// pings and shutdown need no handshake.
   Status ServeChannel(SocketChannel* ch, const std::atomic<bool>* stop);
 
  private:

@@ -2,13 +2,11 @@
 
 #include <chrono>
 #include <thread>
-#include <unordered_set>
 #include <utility>
 
 #include "core/chain_exec.h"
 #include "core/exec_plan.h"
 #include "core/router.h"
-#include "util/timer.h"
 
 namespace harmony {
 
@@ -181,208 +179,136 @@ void SocketFrontend::ShutdownWorkers() {
 
 namespace {
 
-/// In-process half of the socket backend: plain per-query state driven by
-/// one thread (the frontend's sequential chain loop), so the ExecBackend
-/// surface needs no synchronization — PostStage runs inline and PostHop is
-/// a plain call (the real hops are the RPCs, handled outside the
-/// executor).
-class SocketLocalBackend final : public ExecBackend {
+/// The socket substrate of the shared batch driver: one frontend thread
+/// runs every post inline, and each solo stage scan is an RPC to the worker
+/// owning the block's machine.
+class SocketBackend final : public ChainBatchBackend {
  public:
-  struct QueryState {
-    explicit QueryState(size_t k) : heap(k) {}
-    TopKHeap heap;
-    std::unordered_set<int64_t> prewarmed;
-    uint8_t degraded = 0;
-    size_t chains_left = 0;
-    double done_seconds = -1.0;
-  };
+  explicit SocketBackend(SocketFrontend* net) : net_(net) {}
 
-  SocketLocalBackend(size_t num_queries, size_t k) {
-    states_.reserve(num_queries);
-    for (size_t q = 0; q < num_queries; ++q) states_.emplace_back(k);
-  }
+  StageScanOutcome ScanStage(const ExecContext& ctx, const QueryChain& chain,
+                             size_t d, size_t machine,
+                             const BlockScanParams& scan,
+                             ChainCandidates* cand) override;
 
-  QueryState& state(size_t q) { return states_[q]; }
-
-  void ReadThreshold(int32_t query, float* tau, bool* heap_full) override {
-    const TopKHeap& heap = states_[static_cast<size_t>(query)].heap;
-    *tau = heap.threshold();
-    *heap_full = heap.full();
-  }
-  const std::unordered_set<int64_t>* PrewarmedIds(size_t query) override {
-    return &states_[query].prewarmed;
-  }
-  void WithQueryHeap(int32_t query,
-                     const std::function<void(TopKHeap&)>& fn) override {
-    fn(states_[static_cast<size_t>(query)].heap);
-  }
-  void TagDegraded(int32_t query) override {
-    states_[static_cast<size_t>(query)].degraded = 1;
-  }
-  void ChargeStreamedBytes(size_t machine, uint64_t bytes) override {
-    (void)machine;
-    bytes_streamed_ += bytes;
-  }
-  void ChargeCompressedBytes(size_t machine, uint64_t bytes) override {
-    (void)machine;
-    bytes_streamed_ += bytes;
-    bytes_compressed_ += bytes;
-  }
-  void PostStage(size_t machine, std::function<void()> stage) override {
-    (void)machine;
+  void PostStage(size_t /*machine*/, std::function<void()> stage) override {
     stage();
   }
-  uint32_t PostHop(size_t machine, uint64_t msg_key, uint32_t max_retries,
+  uint32_t PostHop(size_t /*machine*/, uint64_t /*msg_key*/,
+                   uint32_t /*max_retries*/,
                    std::function<void()> stage) override {
-    (void)machine;
-    (void)msg_key;
-    (void)max_retries;
     stage();
     return 1;
   }
-
-  uint64_t bytes_streamed() const { return bytes_streamed_; }
-  uint64_t bytes_compressed() const { return bytes_compressed_; }
+  Status status() const override { return status_; }
 
  private:
-  std::vector<QueryState> states_;
-  uint64_t bytes_streamed_ = 0;
-  uint64_t bytes_compressed_ = 0;
+  SocketFrontend* net_;
+  Status status_;
+  std::vector<uint32_t> payload_;
+  std::vector<uint8_t> rorder_;
 };
 
-/// Runs one chain's dimension stages over the RPC channels: per stage,
-/// walk the block's replicas in health order, ship the scan, apply the
-/// compacted survivors. All replicas down => the block is lost exactly as
-/// a threaded baton past its retry budget (BookDynamicHopLoss + degrade).
-Status RunChainOverSockets(const ExecContext& ctx, SocketLocalBackend* backend,
-                           FaultLedger* ledger, NodeHealthTracker* health,
-                           SocketFrontend* net, const QueryChain& chain,
-                           ChainExecState* task) {
-  const PartitionPlan& plan = *ctx.plan;
-  const size_t shard = static_cast<size_t>(chain.shard);
-  ChainCandidates& cand = task->cand;
-  std::vector<uint32_t> payload;
-  std::vector<uint8_t> rorder;
-  for (size_t p = 0; p < task->order.size(); ++p) {
-    if (cand.id.empty()) break;
-    const size_t d = task->order[p];
-    const DimRange range = plan.dim_ranges[d];
-    const BlockScanParams scan =
-        MakeStageScanParams(ctx, backend, chain, cand, d, p, task->rem_q_sq);
-
-    StageScanRequest req;
-    req.vec_shard = static_cast<uint32_t>(shard);
-    req.dim_block = static_cast<uint32_t>(d);
-    req.metric = static_cast<uint32_t>(scan.metric);
-    req.prune = scan.prune;
-    req.use_norms = scan.use_norms;
-    req.use_batched = scan.use_batched;
-    req.tau = scan.tau;
-    req.rem_q_sq = scan.rem_q_sq;
-    req.width = static_cast<uint32_t>(range.width());
-    req.q_slice.assign(scan.q_slice, scan.q_slice + range.width());
-    req.lists = chain.lists;
-    req.id = cand.id;
-    req.list = cand.list;
-    req.row = cand.row;
-    req.partial = cand.partial;
-    if (scan.use_norms) req.rem_p_sq = cand.rem_p_sq;
-
-    StageReplicaOrder(ctx, chain, d, &rorder);
-    bool delivered = false;
-    uint32_t skipped = 0;
-    size_t deliver_machine = 0;
-    StageScanResult result;
-    for (size_t ri = 0; ri < rorder.size() && !delivered; ++ri) {
-      const size_t machine =
-          static_cast<size_t>(plan.ReplicaOf(shard, d, rorder[ri]));
-      const size_t w = net->WorkerOf(machine);
-      if (net->WorkerDead(w)) {
-        ++skipped;
-        continue;
-      }
-      req.machine = static_cast<uint32_t>(machine);
-      EncodeStageScanRequest(req, &payload);
-      uint32_t attempts = 0;
-      Result<WireMessage> reply =
-          net->Call(w, kOpStageScan, payload, &attempts);
-      if (reply.ok()) {
-        health->RecordAttempts(machine, attempts);
-        if (attempts > 1) health->RecordFailures(machine, attempts - 1);
-        ledger->BookDelivery(attempts);
-        if (reply.value().op != kOpStageResult) {
-          return Status::IoError("stage scan answered with opcode " +
-                                 std::to_string(reply.value().op));
-        }
-        HARMONY_ASSIGN_OR_RETURN(result,
-                                 DecodeStageScanResult(reply.value().payload));
-        if (result.has_norms != scan.use_norms ||
-            result.id.size() > req.id.size()) {
-          return Status::IoError("stage scan reply shape mismatch");
-        }
-        delivered = true;
-        deliver_machine = machine;
-      } else {
-        const StatusCode code = reply.status().code();
-        // A live worker rejecting the request (decode/validation/state
-        // divergence) is a protocol failure, not a dead peer: failing over
-        // would mask real divergence. Fail the batch loudly.
-        if (code == StatusCode::kInvalidArgument ||
-            code == StatusCode::kFailedPrecondition ||
-            code == StatusCode::kNotSupported ||
-            code == StatusCode::kIoError) {
-          return reply.status();
-        }
-        // Transport exhaustion: Call marked the worker dead. Every machine
-        // that worker owned is now known-dead for replica ordering.
-        health->RecordAttempts(machine, attempts);
-        health->RecordFailures(machine, attempts);
-        for (size_t m = 0; m < plan.num_machines; ++m) {
-          if (net->WorkerOf(m) == w) health->RecordDead(m);
-        }
-        ++skipped;
-      }
-    }
-    if (!delivered) {
-      // Whole replica set unreachable: the block is lost; the query runs
-      // on and completes degraded (rem_q_sq keeps the block's mass — the
-      // pruning bound stays conservative without it scanned).
-      ledger->BookDynamicHopLoss(chain.query, ctx.max_retries);
-      continue;
-    }
-    for (uint32_t i = 0; i < skipped; ++i) ledger->BookFailover();
-
-    const size_t survivors = result.id.size();
-    cand.id = std::move(result.id);
-    cand.list = std::move(result.list);
-    cand.row = std::move(result.row);
-    cand.partial = std::move(result.partial);
-    if (scan.use_norms) {
-      cand.rem_p_sq = std::move(result.rem_p_sq);
-      task->rem_q_sq -= cand.q_block_norm[d];
-    }
-    ++task->processed;
-    task->scanned_mask |= uint64_t{1} << d;
-    backend->ChargeStreamedBytes(
-        deliver_machine,
-        static_cast<uint64_t>(survivors) * range.width() * sizeof(float));
-    if (survivors == 0) break;
+/// Replaces `cand` with the survivors a stage-scan reply carries. A reply of
+/// the wrong opcode or shape is a protocol error.
+Status ApplyStageReply(const WireMessage& reply, bool use_norms,
+                       ChainCandidates* cand) {
+  if (reply.op != kOpStageResult) {
+    return Status::IoError("stage scan answered with opcode " +
+                           std::to_string(reply.op));
   }
+  HARMONY_ASSIGN_OR_RETURN(StageScanResult res,
+                           DecodeStageScanResult(reply.payload));
+  if (res.has_norms != use_norms || res.id.size() > cand->id.size()) {
+    return Status::IoError("stage scan reply shape mismatch");
+  }
+  cand->id = std::move(res.id);
+  cand->list = std::move(res.list);
+  cand->row = std::move(res.row);
+  cand->partial = std::move(res.partial);
+  if (use_norms) cand->rem_p_sq = std::move(res.rem_p_sq);
   return Status::OK();
 }
 
-/// The non-PQ rank-barrier merge, verbatim from
-/// ChainExecutor::MergeChainResults (PQ streams are gated off over
-/// sockets).
-void MergeChain(const ExecContext& ctx, ExecBackend* backend,
-                const QueryChain& chain, const ChainCandidates& cand) {
-  backend->WithQueryHeap(chain.query, [&](TopKHeap& heap) {
-    for (size_t i = 0; i < cand.id.size(); ++i) {
-      if (ctx.IsDeleted(cand.id[i])) continue;  // dead at the rank barrier
-      const float dist = ctx.use_ip ? -cand.partial[i] : cand.partial[i];
-      heap.Push(cand.id[i], dist);
+/// Walks the block's replicas in health order, ships the scan, and applies
+/// the compacted survivors. All replicas down => the block is lost, exactly
+/// as a threaded baton past its retry budget.
+StageScanOutcome SocketBackend::ScanStage(const ExecContext& ctx,
+                                          const QueryChain& chain, size_t d,
+                                          size_t /*machine*/,
+                                          const BlockScanParams& scan,
+                                          ChainCandidates* cand) {
+  StageScanOutcome out;
+  out.delivered = false;
+  // A failed batch drains its remaining stages as lost blocks, without RPCs.
+  if (!status_.ok()) return out;
+  const PartitionPlan& plan = *ctx.plan;
+  NodeHealthTracker* health = ctx.health;
+  const size_t shard = static_cast<size_t>(chain.shard);
+
+  StageScanRequest req;
+  req.vec_shard = static_cast<uint32_t>(shard);
+  req.dim_block = static_cast<uint32_t>(d);
+  req.metric = static_cast<uint32_t>(scan.metric);
+  req.prune = scan.prune;
+  req.use_norms = scan.use_norms;
+  req.use_batched = scan.use_batched;
+  req.tau = scan.tau;
+  req.rem_q_sq = scan.rem_q_sq;
+  req.width = static_cast<uint32_t>(scan.width);
+  req.q_slice.assign(scan.q_slice, scan.q_slice + scan.width);
+  req.lists = chain.lists;
+  req.id = cand->id;
+  req.list = cand->list;
+  req.row = cand->row;
+  req.partial = cand->partial;
+  if (scan.use_norms) req.rem_p_sq = cand->rem_p_sq;
+
+  StageReplicaOrder(ctx, chain, d, &rorder_);
+  for (const uint8_t r : rorder_) {
+    const size_t machine = static_cast<size_t>(plan.ReplicaOf(shard, d, r));
+    const size_t w = net_->WorkerOf(machine);
+    if (net_->WorkerDead(w)) {
+      ++out.failovers;
+      continue;
     }
-  });
+    req.machine = static_cast<uint32_t>(machine);
+    EncodeStageScanRequest(req, &payload_);
+    uint32_t attempts = 0;
+    Result<WireMessage> reply =
+        net_->Call(w, kOpStageScan, payload_, &attempts);
+    if (!reply.ok()) {
+      const StatusCode code = reply.status().code();
+      // A live worker rejecting the request (decode/validation/state
+      // divergence) is a protocol failure, not a dead peer: failing over
+      // would mask real divergence. Fail the batch loudly.
+      if (code == StatusCode::kInvalidArgument ||
+          code == StatusCode::kFailedPrecondition ||
+          code == StatusCode::kNotSupported ||
+          code == StatusCode::kIoError) {
+        status_ = reply.status();
+        return out;
+      }
+      // Transport exhaustion: Call marked the worker dead. Every machine
+      // that worker owned is now known-dead for replica ordering.
+      health->RecordAttempts(machine, attempts);
+      health->RecordFailures(machine, attempts);
+      for (size_t m = 0; m < plan.num_machines; ++m) {
+        if (net_->WorkerOf(m) == w) health->RecordDead(m);
+      }
+      ++out.failovers;
+      continue;
+    }
+    health->RecordAttempts(machine, attempts);
+    if (attempts > 1) health->RecordFailures(machine, attempts - 1);
+    status_ = ApplyStageReply(reply.value(), scan.use_norms, cand);
+    if (!status_.ok()) return out;
+    out.delivered = true;
+    out.machine = machine;
+    out.attempts = attempts;
+    return out;
+  }
+  return out;
 }
 
 }  // namespace
@@ -398,9 +324,6 @@ Result<ThreadedOutput> ExecuteSocket(const IvfIndex& index,
   if (net == nullptr || net->num_workers() == 0) {
     return Status::InvalidArgument("socket backend requires connected workers");
   }
-  if (stores.size() != plan.num_machines) {
-    return Status::InvalidArgument("store count does not match plan");
-  }
   if (opts.use_pq_streams) {
     return Status::NotSupported(
         "PQ streams are not supported over the socket backend");
@@ -410,93 +333,9 @@ Result<ThreadedOutput> ExecuteSocket(const IvfIndex& index,
         "modeled FaultPlans are sim/threaded-only; socket runs inject "
         "connection-level faults via SocketFrontendOptions::faults");
   }
-  if (opts.hedge_after > 0.0) {
-    return Status::NotSupported(
-        "hedged requests are not supported over the socket backend");
-  }
-  StopWatch watch;
-  HARMONY_ASSIGN_OR_RETURN(
-      ExecContext ctx, MakeExecContext(index, plan, stores, prewarm, routing,
-                                       queries, opts));
-  NodeHealthTracker health(plan.num_machines);
-  ctx.AttachHealth(&health);
-
-  SocketLocalBackend backend(queries.size(), opts.k);
-  for (const QueryChain& chain : routing.chains) {
-    ++backend.state(static_cast<size_t>(chain.query)).chains_left;
-  }
-  for (size_t q = 0; q < queries.size(); ++q) {
-    SocketLocalBackend::QueryState& state = backend.state(q);
-    PrewarmQuery(ctx, q, &state.heap, &state.prewarmed, {});
-  }
-
-  FaultLedger ledger(&backend);
-  ChainExecutor executor(ctx, &backend, &ledger, [] {});
-  const auto note_chain_done = [&backend, &watch](int32_t query) {
-    SocketLocalBackend::QueryState& state =
-        backend.state(static_cast<size_t>(query));
-    if (--state.chains_left == 0) {
-      state.done_seconds = watch.ElapsedSeconds();
-    }
-  };
-  // Queries the router gave no chain at all complete at t=0 (prewarm only).
-  for (size_t q = 0; q < queries.size(); ++q) {
-    if (backend.state(q).chains_left == 0) {
-      backend.state(q).done_seconds = watch.ElapsedSeconds();
-    }
-  }
-
-  // Rank-staged chain loop, sequential: later ranks inherit tightened
-  // thresholds exactly as in both in-process engines; the rank barrier
-  // folds health epochs so replica ordering shifts only between ranks.
-  size_t begin = 0;
-  size_t chain_index = 0;
-  while (begin < routing.chains.size()) {
-    size_t end = begin;
-    const int32_t rank = routing.chains[begin].probe_rank;
-    while (end < routing.chains.size() &&
-           routing.chains[end].probe_rank == rank) {
-      ++end;
-    }
-    for (size_t c = begin; c < end; ++c, ++chain_index) {
-      const QueryChain& chain = routing.chains[c];
-      std::shared_ptr<ChainExecState> task = executor.PrepareChain(chain);
-      if (task == nullptr) {
-        note_chain_done(chain.query);
-        continue;
-      }
-      if (executor.BuildSoloOrder(task.get(), chain_index)) {
-        note_chain_done(chain.query);
-        continue;
-      }
-      HARMONY_RETURN_NOT_OK(RunChainOverSockets(ctx, &backend, &ledger,
-                                                &health, net, chain,
-                                                task.get()));
-      MergeChain(ctx, &backend, chain, task->cand);
-      note_chain_done(chain.query);
-    }
-    health.FoldEpoch();
-    begin = end;
-  }
-
-  ThreadedOutput out;
-  out.results.resize(queries.size());
-  out.degraded.assign(queries.size(), 0);
-  out.query_seconds.assign(queries.size(), -1.0);
-  out.faults = ledger.Snapshot();
-  for (size_t q = 0; q < queries.size(); ++q) {
-    SocketLocalBackend::QueryState& state = backend.state(q);
-    out.results[q] = state.heap.SortedResults();
-    out.query_seconds[q] = state.done_seconds;
-    if (state.degraded != 0) {
-      out.degraded[q] = 1;
-      ++out.faults.degraded_queries;
-    }
-  }
-  out.bytes_streamed = backend.bytes_streamed();
-  out.bytes_compressed = backend.bytes_compressed();
-  out.wall_seconds = watch.ElapsedSeconds();
-  return out;
+  SocketBackend backend(net);
+  return RunChainBatch(index, plan, stores, prewarm, routing, queries, opts,
+                       /*allow_groups=*/false, &backend);
 }
 
 Result<ThreadedOutput> SearchBatchOverSockets(HarmonyEngine* engine,

@@ -40,9 +40,9 @@ struct SocketNetStats {
 /// \brief The frontend's connection table to its worker processes: one
 /// serial RPC channel per worker, machine -> worker ownership map
 /// (machine % num_workers), retry with seeded backoff, dead-worker marking
-/// and restart rejoin (re-dial + handshake). Single-threaded by design —
-/// ExecuteSocket drives chains sequentially; the transport's robustness,
-/// not parallelism, is what this backend exists to prove.
+/// and restart rejoin (re-dial + handshake). Single-threaded by design:
+/// ExecuteSocket runs every chain stage inline on the calling thread, one
+/// RPC at a time.
 class SocketFrontend {
  public:
   explicit SocketFrontend(SocketFrontendOptions opts = {});
@@ -101,9 +101,10 @@ class SocketFrontend {
 };
 
 /// \brief The third execution backend, next to ExecuteSimulated and
-/// ExecuteThreaded: the same rank-staged chain pipeline, but every
-/// dimension-stage scan is an RPC to the worker process owning the block's
-/// machine. The frontend keeps routing, candidate build, prewarm, pruning
+/// ExecuteThreaded: the same ChainExecutor under the same rank-staged
+/// driver (RunChainBatch), but every solo dimension-stage scan is an RPC to
+/// the worker process owning the block's machine (ExecBackend::ScanStage).
+/// The frontend keeps routing, candidate build, prewarm, pruning
 /// thresholds, health folding, fault ledger and result heaps; workers scan
 /// their (bit-identical) stores and return compacted survivors. On a
 /// fault-free run the merged results are bit-identical to both in-process
@@ -113,12 +114,16 @@ class SocketFrontend {
 /// with backoff (inside SocketFrontend::Call) -> failover across the
 /// block's replicas in health order -> all replicas down: the block is
 /// lost, booked as a dynamic hop loss and the query tagged degraded. Dead
-/// workers feed NodeHealthTracker, folded at each rank barrier.
+/// workers feed NodeHealthTracker, folded at each rank barrier. A live
+/// worker rejecting a request fails the batch with its Status.
 ///
-/// Scope gates (Status, not silent): PQ streams and modeled message-level
-/// FaultPlans are not supported over sockets (connection-level faults are
-/// the SocketFaultPlan's job); shared scans fall back to solo dispatch
-/// (identical results, group batching is an in-process optimization).
+/// Scope gates (Status, not silent): PQ streams (kNotSupported: the ADC
+/// lookup tables do not travel on the wire) and modeled message-level
+/// FaultPlans (kInvalidArgument: connection-level faults are the
+/// SocketFaultPlan's job). Shared scans fall back to solo dispatch
+/// (identical results; group batching is an in-process optimization).
+/// hedge_after needs no gate: hedging keys off modeled straggler
+/// multipliers, so without a FaultPlan no stage hedges.
 Result<ThreadedOutput> ExecuteSocket(const IvfIndex& index,
                                      const PartitionPlan& plan,
                                      const std::vector<WorkerStore>& stores,

@@ -22,14 +22,15 @@ namespace harmony {
 /// algorithm is correctly parallelizable and race-free) while SimCluster
 /// provides deterministic cost accounting.
 ///
-/// Ordering: tasks posted to a node *start* in FIFO order. With the default
-/// one thread per node they also run one at a time, matching the ordering
-/// guarantees an MPI rank would see. With `threads_per_node > 1`
-/// (HarmonyOptions::threads_per_node) tasks of one node overlap; per-chain
+/// Ordering: a node's mailbox is dequeued in FIFO order. With the default
+/// one thread per node tasks therefore start and finish in post order, one
+/// at a time, matching the ordering guarantees an MPI rank would see. With
+/// `threads_per_node > 1` (HarmonyOptions::threads_per_node) tasks of one
+/// node overlap and their start order is up to the scheduler; per-chain
 /// ordering is then the caller's job — the coordinator preserves it
-/// structurally, posting each chain's next hop only after the current stage
-/// returns (baton passing), so no two stages of one chain are ever in
-/// flight together.
+/// structurally, posting each chain's (or group's) next hop only after the
+/// current stage returns (baton passing), so no two stages of one chain are
+/// ever in flight together and nothing depends on cross-task start order.
 class ThreadedCluster {
  public:
   explicit ThreadedCluster(size_t num_workers, FaultPlan faults = FaultPlan(),
@@ -43,9 +44,9 @@ class ThreadedCluster {
   size_t threads_per_node() const { return threads_per_node_; }
   const FaultInjector& faults() const { return faults_; }
 
-  /// Enqueues a task on worker `node`'s mailbox. Tasks on the same node
-  /// start in FIFO order; with one thread per node they also complete in
-  /// FIFO order.
+  /// Enqueues a task on worker `node`'s mailbox. The mailbox is dequeued
+  /// FIFO; with one thread per node tasks also start and complete in post
+  /// order.
   void Post(size_t node, std::function<void()> task);
 
   /// Fault-injected delivery at the mailbox boundary: consults the fault
@@ -62,28 +63,6 @@ class ThreadedCluster {
   /// Post further tasks (batons); Barrier waits for those too.
   void Barrier();
 
-  /// Books `bytes` of local row data streamed from memory by block scans.
-  /// Pure accounting, cluster-wide: real threads have no per-machine virtual
-  /// clock, so the counter is one atomic (the twin of SimNode's per-node
-  /// ChargeStreamedBytes).
-  void ChargeStreamedBytes(uint64_t bytes) {
-    bytes_streamed_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  uint64_t bytes_streamed() const {
-    return bytes_streamed_.load(std::memory_order_relaxed);
-  }
-
-  /// Books quantized code-stream bytes (PQ streams): counted in the
-  /// streamed total and the separate compressed tally, mirroring
-  /// SimNode::ChargeCompressedBytes.
-  void ChargeCompressedBytes(uint64_t bytes) {
-    bytes_streamed_.fetch_add(bytes, std::memory_order_relaxed);
-    bytes_compressed_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  uint64_t bytes_streamed_compressed() const {
-    return bytes_compressed_.load(std::memory_order_relaxed);
-  }
-
  private:
   FaultInjector faults_;
   size_t threads_per_node_ = 1;
@@ -91,8 +70,6 @@ class ThreadedCluster {
   std::mutex barrier_mu_;
   std::condition_variable barrier_cv_;
   std::atomic<int64_t> outstanding_{0};
-  std::atomic<uint64_t> bytes_streamed_{0};
-  std::atomic<uint64_t> bytes_compressed_{0};
 };
 
 }  // namespace harmony

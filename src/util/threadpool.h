@@ -30,8 +30,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues a task; tasks start in FIFO order (with one thread they also
-  /// complete in FIFO order). Tasks must not throw. Tasks may Submit
+  /// Enqueues a task; tasks are dequeued in FIFO order (with one thread they
+  /// also start and complete in FIFO order). Tasks must not throw. Tasks may Submit
   /// further tasks, including onto this same pool; they must not call
   /// Wait() on it (a single-thread pool would deadlock).
   void Submit(std::function<void()> task);

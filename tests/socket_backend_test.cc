@@ -13,7 +13,11 @@
 //  5. ReconnectDead rejoins a restarted-and-replayed worker;
 //  6. the serving frontend driven through the BatchExecHook seam produces
 //     the identical ServingSchedule fingerprint and bitwise results as the
-//     simulated backend.
+//     simulated backend;
+//  7. a sweep over grouping, pruning, label filter, R, metric and
+//     hedge_after matches the threaded engine and the sim bitwise, with
+//     equal FaultStats (and bytes, ungrouped and unpruned);
+//  8. workers refuse stage scans on a connection without a matching hello.
 
 #include "net/socket_backend.h"
 
@@ -221,18 +225,225 @@ TEST(SocketBackendTest, PingAndScopeGates) {
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
   }
-  // Hedging requires the threaded engine's timing model.
+  // PQ streams need lookup tables on the wire: not supported over sockets.
   {
-    HarmonyOptions opts = BaseOptions(4, 2);
-    opts.hedge_after = 1.5;
-    HarmonyEngine hedged(opts);
-    ASSERT_TRUE(hedged.BuildFromIndex(world.index).ok());
-    auto out = SearchBatchOverSockets(&hedged, &net,
-                                      world.workload.queries.View(), 10, 4);
+    auto snap = frontend.AcquireSnapshot();
+    ASSERT_TRUE(snap.ok()) << snap.status();
+    ExecOptions exec = frontend.BuildExecOptions(10, 4);
+    exec.use_pq_streams = true;
+    const BatchRouting routing = RouteBatch(
+        frontend.index(), frontend.plan(), world.workload.queries.View(), 4, 1);
+    auto out = ExecuteSocket(frontend.index(), frontend.plan(),
+                             *snap.value().stores, frontend.prewarm_cache(),
+                             routing, world.workload.queries.View(), exec,
+                             &net);
     ASSERT_FALSE(out.ok());
     EXPECT_EQ(out.status().code(), StatusCode::kNotSupported);
   }
   net.ShutdownWorkers();
+
+  // Hedging is decided by modeled straggler multipliers; without a modeled
+  // FaultPlan (which sockets reject) no stage hedges, so a hedge_after
+  // config runs and matches the threaded engine with nothing hedged.
+  HarmonyOptions opts = BaseOptions(4, 2);
+  opts.hedge_after = 1.5;
+  HarmonyEngine hedged(opts);
+  ASSERT_TRUE(hedged.BuildFromIndex(world.index).ok());
+  ThreadWorkerFleet fleet2("gates2");
+  ASSERT_TRUE(fleet2.Start(world, opts, 2).ok());
+  auto expect2 = MakeEngineHello(&hedged, 0, 2);
+  ASSERT_TRUE(expect2.ok()) << expect2.status();
+  SocketFrontend net2;
+  ASSERT_TRUE(net2.Connect(fleet2.addrs(), expect2.value()).ok());
+  auto sock = SearchBatchOverSockets(&hedged, &net2,
+                                     world.workload.queries.View(), 10, 4);
+  ASSERT_TRUE(sock.ok()) << sock.status();
+  auto thr = hedged.SearchBatchThreaded(world.workload.queries.View(), 10, 4);
+  ASSERT_TRUE(thr.ok()) << thr.status();
+  ExpectBitIdentical(sock.value().results, thr.value().results);
+  EXPECT_EQ(sock.value().faults.hedged, 0u);
+  EXPECT_EQ(thr.value().faults.hedged, 0u);
+  net2.ShutdownWorkers();
+}
+
+TEST(SocketBackendTest, WorkerRejectsStageScanBeforeHandshake) {
+  SmallWorld world = MakeSmallWorld(1200, 16, 4, 8, 8);
+  HarmonyEngine engine(BaseOptions());
+  ASSERT_TRUE(engine.BuildFromIndex(world.index).ok());
+  SocketWorkerOptions wopts;
+  wopts.num_workers = 1;
+  wopts.poll_ms = 50;
+  SocketWorker worker(&engine, wopts);
+  ASSERT_TRUE(worker.Init().ok());
+
+  auto pair = MakeChannelPair(3);
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  SocketChannel client = std::move(pair.value().first);
+  SocketChannel server = std::move(pair.value().second);
+  std::atomic<bool> stop{false};
+  std::thread serving([&] { (void)worker.ServeChannel(&server, &stop); });
+  // Stops the serve loop even when an assertion returns early.
+  struct StopOnExit {
+    std::atomic<bool>* stop;
+    std::thread* serving;
+    ~StopOnExit() {
+      stop->store(true);
+      if (serving->joinable()) serving->join();
+    }
+  } stop_on_exit{&stop, &serving};
+
+  // A well-formed scan of zero candidates: valid for any built engine.
+  StageScanRequest req;
+  req.width = static_cast<uint32_t>(engine.plan().dim_ranges[0].width());
+  req.q_slice.assign(req.width, 0.5f);
+  std::vector<uint32_t> scan;
+  EncodeStageScanRequest(req, &scan);
+  const auto call = [&client](uint16_t op, const std::vector<uint32_t>& p) {
+    EXPECT_TRUE(client.Send(op, p).ok());
+    return client.Recv();
+  };
+
+  // Before the handshake: refused with kFailedPrecondition...
+  auto early = call(kOpStageScan, scan);
+  ASSERT_TRUE(early.ok()) << early.status();
+  ASSERT_EQ(early.value().op, kOpError);
+  EXPECT_EQ(DecodeErrorStatus(early.value().payload).code(),
+            StatusCode::kFailedPrecondition);
+  // ...while pings need no handshake...
+  auto pong = call(kOpPing, {});
+  ASSERT_TRUE(pong.ok()) << pong.status();
+  EXPECT_EQ(pong.value().op, kOpPong);
+  // ...and a mismatched hello does not open the gate.
+  WorkerHello wrong = worker.hello();
+  wrong.digest ^= 1;
+  std::vector<uint32_t> hello;
+  EncodeHello(wrong, &hello);
+  auto rejected = call(kOpHello, hello);
+  ASSERT_TRUE(rejected.ok()) << rejected.status();
+  EXPECT_EQ(rejected.value().op, kOpError);
+  auto still_early = call(kOpStageScan, scan);
+  ASSERT_TRUE(still_early.ok()) << still_early.status();
+  EXPECT_EQ(still_early.value().op, kOpError);
+
+  // After a matching hello the same scan is served.
+  EncodeHello(worker.hello(), &hello);
+  auto ack = call(kOpHello, hello);
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack.value().op, kOpHelloAck);
+  auto served = call(kOpStageScan, scan);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served.value().op, kOpStageResult);
+
+  ASSERT_TRUE(client.Send(kOpShutdown, nullptr, 0).ok());
+  serving.join();
+  EXPECT_TRUE(worker.shutdown_received());
+}
+
+void ExpectSameFaults(const FaultStats& a, const FaultStats& b) {
+  EXPECT_EQ(a.messages_dropped, b.messages_dropped);
+  EXPECT_EQ(a.retries, b.retries);
+  EXPECT_EQ(a.blocks_lost, b.blocks_lost);
+  EXPECT_EQ(a.shards_lost, b.shards_lost);
+  EXPECT_EQ(a.failovers, b.failovers);
+  EXPECT_EQ(a.hedged, b.hedged);
+  EXPECT_EQ(a.degraded_queries, b.degraded_queries);
+  EXPECT_EQ(a.timed_out_queries, b.timed_out_queries);
+}
+
+TEST(SocketBackendTest, ParitySweepMatchesThreadedAndSim) {
+  // Every backend runs the same ChainExecutor, so over the option matrix
+  // the socket results are bitwise the threaded engine's and the sim's,
+  // with identical FaultStats up to real transport resends; with pruning
+  // and grouping off every chain streams every candidate row, so the byte
+  // bills agree too.
+  for (const Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    const SmallWorld world = MakeSmallWorld(1500, 32, 8, 8, 12, 0.0, 7, metric);
+    const DatasetView queries = world.workload.queries.View();
+    std::vector<int32_t> labels(world.index.num_vectors());
+    for (size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = static_cast<int32_t>(i % 2);
+    }
+    for (const size_t replication : {size_t{1}, size_t{2}}) {
+      HarmonyOptions opts = BaseOptions(4, replication);
+      opts.ivf.metric = metric;
+      HarmonyEngine frontend(opts);
+      ASSERT_TRUE(frontend.BuildFromIndex(world.index).ok());
+      auto snap = frontend.AcquireSnapshot();
+      ASSERT_TRUE(snap.ok()) << snap.status();
+      const std::vector<WorkerStore>& stores = *snap.value().stores;
+
+      ThreadWorkerFleet fleet("sweep" + std::to_string(replication) +
+                              (metric == Metric::kL2 ? "l2" : "ip"));
+      ASSERT_TRUE(fleet.Start(world, opts, 2).ok());
+      auto expect = MakeEngineHello(&frontend, 0, 2);
+      ASSERT_TRUE(expect.ok()) << expect.status();
+      SocketFrontend net;
+      ASSERT_TRUE(net.Connect(fleet.addrs(), expect.value()).ok());
+
+      for (const bool grouping : {false, true}) {
+        for (const bool pruning : {false, true}) {
+          for (const bool filtered : {false, true}) {
+            for (const double hedge_after : {0.0, 1.5}) {
+              SCOPED_TRACE(::testing::Message()
+                           << "metric=" << MetricToString(metric)
+                           << " R=" << replication << " grouping=" << grouping
+                           << " pruning=" << pruning
+                           << " filtered=" << filtered
+                           << " hedge=" << hedge_after);
+              ExecOptions exec = frontend.BuildExecOptions(10, 4);
+              exec.shared_scans = grouping;
+              exec.query_group_size = grouping ? 4 : 1;
+              exec.enable_pruning = pruning;
+              exec.hedge_after = hedge_after;
+              if (filtered) {
+                exec.labels = &labels;
+                exec.allowed_label = 1;
+              }
+              const BatchRouting routing =
+                  RouteBatch(frontend.index(), frontend.plan(), queries, 4,
+                             exec.query_group_size);
+              const uint64_t failures_before = net.stats().rpc_failures;
+              auto sock = ExecuteSocket(frontend.index(), frontend.plan(),
+                                        stores, frontend.prewarm_cache(),
+                                        routing, queries, exec, &net);
+              ASSERT_TRUE(sock.ok()) << sock.status();
+              const uint64_t resends =
+                  net.stats().rpc_failures - failures_before;
+              auto thr = ExecuteThreaded(frontend.index(), frontend.plan(),
+                                         stores, frontend.prewarm_cache(),
+                                         routing, queries, exec);
+              ASSERT_TRUE(thr.ok()) << thr.status();
+              SimCluster cluster(frontend.plan().num_machines);
+              auto sim = ExecuteSimulated(frontend.index(), frontend.plan(),
+                                          stores, frontend.prewarm_cache(),
+                                          routing, queries, exec, &cluster);
+              ASSERT_TRUE(sim.ok()) << sim.status();
+
+              ExpectBitIdentical(sock.value().results, thr.value().results);
+              ExpectBitIdentical(sock.value().results, sim.value().results);
+              ExpectSameFaults(thr.value().faults, sim.value().faults);
+              // A real transport may resend a stage RPC (a slow host can
+              // tear a frame); the socket books each resend exactly as the
+              // in-process engines book a modeled one.
+              FaultStats expected = thr.value().faults;
+              expected.retries += resends;
+              expected.messages_dropped += resends;
+              ExpectSameFaults(sock.value().faults, expected);
+              EXPECT_EQ(sock.value().degraded, thr.value().degraded);
+              if (!pruning && !grouping) {
+                EXPECT_EQ(sock.value().bytes_streamed,
+                          thr.value().bytes_streamed);
+                EXPECT_EQ(sock.value().bytes_streamed,
+                          cluster.Breakdown().total_bytes_streamed);
+              }
+            }
+          }
+        }
+      }
+      EXPECT_EQ(net.stats().workers_marked_dead, 0u);
+      net.ShutdownWorkers();
+    }
+  }
 }
 
 TEST(SocketBackendTest, HandshakeRejectsDivergentWorkerState) {

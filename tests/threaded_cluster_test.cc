@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <mutex>
@@ -101,23 +102,30 @@ TEST(ThreadedClusterTest, MultiThreadNodeOverlapsTasksOnOneNode) {
 }
 
 TEST(ThreadedClusterTest, MultiThreadNodePreservesFifoStartOrder) {
-  // Tasks may *finish* out of order with several threads, but the mailbox
-  // must still hand them out FIFO — the coordinator's group dispatch counts
-  // on started-in-post-order for its per-chain structural ordering.
-  ThreadedCluster cluster(1, FaultPlan(), /*threads_per_node=*/4);
-  std::vector<int> starts;
-  std::mutex mu;
-  for (int i = 0; i < 100; ++i) {
-    cluster.Post(0, [&starts, &mu, i] {
-      std::lock_guard<std::mutex> lock(mu);
-      starts.push_back(i);
-    });
+  // One thread per node: tasks run one at a time in post order. With
+  // several threads the mailbox still dequeues FIFO, but which pool thread
+  // reaches its task first is up to the scheduler, so the only contract
+  // there is that every task runs exactly once before Barrier returns.
+  // Nothing in the engines depends on start order across a node's threads:
+  // each chain or group posts its next stage only after the current one
+  // returns.
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads_per_node=" << threads);
+    ThreadedCluster cluster(1, FaultPlan(), threads);
+    std::vector<int> starts;
+    std::mutex mu;
+    for (int i = 0; i < 100; ++i) {
+      cluster.Post(0, [&starts, &mu, i] {
+        std::lock_guard<std::mutex> lock(mu);
+        starts.push_back(i);
+      });
+    }
+    cluster.Barrier();
+    ASSERT_EQ(starts.size(), 100u);
+    // Several threads: only the set of started tasks is pinned.
+    if (threads > 1) std::sort(starts.begin(), starts.end());
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(starts[i], i);
   }
-  cluster.Barrier();
-  ASSERT_EQ(starts.size(), 100u);
-  // The recording lock serializes the very first statement of each task,
-  // so `starts` is exactly the start order.
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(starts[i], i);
 }
 
 TEST(ThreadedClusterTest, MultiThreadNodeBatonContinuations) {
