@@ -125,12 +125,13 @@ BENCHMARK(BM_BlockScanPerRow)
 void BM_BlockScanBatched(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const size_t width = static_cast<size_t>(state.range(1));
-  const ScanKernelTable& kt = ScanKernels();
+  const KernelDispatch kd = DefaultDispatch(Metric::kL2, width);
   const auto q = RandomVec(width, 21);
   const auto data = RandomVec(rows * width, 22);
   std::vector<float> accum(rows, 0.0f);
   for (auto _ : state) {
-    kt.l2_batch(q.data(), data.data(), rows, width, accum.data());
+    kd.table->l2_batch(q.data(), data.data(), rows, width, accum.data(),
+                       kd.shape);
     benchmark::DoNotOptimize(accum.data());
   }
   state.SetItemsProcessed(state.iterations() * rows * width);
@@ -233,9 +234,9 @@ float* AlignedRandomVec(size_t n, uint64_t seed, size_t phase,
 void WriteKernelCurves(const char* path) {
   // Best available tier + the startup autotuner's tile picks — exactly the
   // dispatch a default engine run records in its plan. The batched side
-  // runs the shaped entries under the tuned shape; counts below the tuned
-  // row block take the shaped kernels' per-row dispatch guard, which is
-  // what keeps small batches at per-row cost (no cell below ~1.0x).
+  // runs under the tuned shape; counts below the tuned row block take the
+  // batch kernels' per-row dispatch guard, which is what keeps small
+  // batches at per-row cost (no cell below ~1.0x).
   const KernelTuneTable& tune = ResolveKernelTune(KernelTier::kAuto);
   const ScanKernelTable& kt = ScanKernelsFor(tune.tier);
   std::FILE* f = std::fopen(path, "w");
@@ -274,9 +275,9 @@ void WriteKernelCurves(const char* path) {
             },
             [&] {
               if (ip) {
-                kt.ip_batch_shaped(q, data, rows, width, accum.data(), shape);
+                kt.ip_batch(q, data, rows, width, accum.data(), shape);
               } else {
-                kt.l2_batch_shaped(q, data, rows, width, accum.data(), shape);
+                kt.l2_batch(q, data, rows, width, accum.data(), shape);
               }
               benchmark::DoNotOptimize(accum.data());
             },
@@ -295,7 +296,7 @@ void WriteKernelCurves(const char* path) {
       }
     }
   }
-  // Group kernels vs nq independent shaped batch calls: the win is the
+  // Group kernels vs nq independent batch calls: the win is the
   // shared row stream — each tile's rows are loaded once for the whole
   // query tile instead of once per query.
   std::fprintf(f, "\n  ],\n  \"group_results\": [");
@@ -322,22 +323,20 @@ void WriteKernelCurves(const char* path) {
               [&] {
                 for (size_t i = 0; i < nq; ++i) {
                   if (ip) {
-                    kt.ip_batch_shaped(qs[i], data, rows, width, accums[i],
-                                       shape);
+                    kt.ip_batch(qs[i], data, rows, width, accums[i], shape);
                   } else {
-                    kt.l2_batch_shaped(qs[i], data, rows, width, accums[i],
-                                       shape);
+                    kt.l2_batch(qs[i], data, rows, width, accums[i], shape);
                   }
                 }
                 benchmark::DoNotOptimize(accum.data());
               },
               [&] {
                 if (ip) {
-                  kt.ip_group_shaped(qs.data(), nq, data, rows, width,
-                                     accums.data(), shape);
+                  kt.ip_group(qs.data(), nq, data, rows, width, accums.data(),
+                              shape);
                 } else {
-                  kt.l2_group_shaped(qs.data(), nq, data, rows, width,
-                                     accums.data(), shape);
+                  kt.l2_group(qs.data(), nq, data, rows, width, accums.data(),
+                              shape);
                 }
                 benchmark::DoNotOptimize(accum.data());
               });

@@ -13,13 +13,6 @@ namespace harmony {
 
 namespace {
 
-/// The stage's kernel table: the dispatch's recorded tier table when one is
-/// attached (plan-recorded replay), otherwise the process-wide resolved
-/// table — the historical behavior of default-constructed params.
-inline const ScanKernelTable& TableOf(const KernelDispatch& d) {
-  return d.table != nullptr ? *d.table : ScanKernels();
-}
-
 /// Cross-run streaming prefetch (tuned distance): touch the head rows of
 /// the *next* candidate run while the current run's kernel streams, so the
 /// walk does not stall on the list-slice boundary. A pure memory hint —
@@ -67,7 +60,7 @@ size_t ScanBlockReference(const BlockScanParams& p, size_t begin, size_t count,
                           int64_t* id, int32_t* list, int32_t* row,
                           float* partial, float* rem_p_sq, float* bound,
                           BlockScanCounters* counters) {
-  const ScanKernelTable& kt = TableOf(p.dispatch);
+  const ScanKernelTable& kt = *p.dispatch.table;
   const bool use_ip = p.metric != Metric::kL2;
   const bool use_pq = p.luts != nullptr;
   size_t w = 0;
@@ -121,7 +114,7 @@ size_t ScanBlockReference(const BlockScanParams& p, size_t begin, size_t count,
 size_t PruneCompact(const BlockScanParams& p, size_t begin, size_t count,
                     int64_t* id, int32_t* list, int32_t* row, float* partial,
                     float* rem_p_sq, float* bound, BlockScanCounters* counters) {
-  const ScanKernelTable& kt = TableOf(p.dispatch);
+  const ScanKernelTable& kt = *p.dispatch.table;
   const bool use_ip = p.metric != Metric::kL2;
   const bool use_pq = p.luts != nullptr;
   // PQ streams test the conservative bound column with the same mask
@@ -190,7 +183,7 @@ constexpr size_t kAdcChunk = 256;
 void ScanCodeRun(const BlockScanParams& p, bool use_ip, const ListSlice* ls,
                  const float* lut, size_t r0, size_t run, float* partial,
                  float* rem_p_sq, float* bound) {
-  const ScanKernelTable& kt = TableOf(p.dispatch);
+  const ScanKernelTable& kt = *p.dispatch.table;
   float adc[kAdcChunk];
   size_t done = 0;
   while (done < run) {
@@ -216,9 +209,8 @@ void ScanCodeRun(const BlockScanParams& p, bool use_ip, const ListSlice* ls,
 void ScanRuns(const BlockScanParams& p, size_t begin, size_t survivors,
               const int32_t* list, const int32_t* row, float* partial,
               float* rem_p_sq, float* bound) {
-  const ScanKernelTable& kt = TableOf(p.dispatch);
-  const bool shaped = p.dispatch.table != nullptr;
-  const size_t pf_rows = shaped ? p.dispatch.shape.prefetch : 0;
+  const ScanKernelTable& kt = *p.dispatch.table;
+  const KernelShape shape = p.dispatch.shape;
   const bool use_ip = p.metric != Metric::kL2;
   const bool use_pq = p.luts != nullptr;
   size_t j = 0;
@@ -235,12 +227,13 @@ void ScanRuns(const BlockScanParams& p, size_t begin, size_t survivors,
     // Cross-run streaming: while this run's kernel prefetches within the
     // run, the boundary into the next run (usually another list's slice)
     // has no coverage — hint its head rows now, at the tuned distance.
-    if (pf_rows > 0 && !use_pq && j + run < survivors) {
+    if (shape.prefetch > 0 && !use_pq && j + run < survivors) {
       const int32_t nli = list[begin + j + run];
       const ListSlice* nls = p.slices[static_cast<size_t>(nli)];
       if (nls != nullptr) {
         PrefetchRunHead(nls->slice,
-                        static_cast<size_t>(row[begin + j + run]), pf_rows);
+                        static_cast<size_t>(row[begin + j + run]),
+                        shape.prefetch);
       }
     }
     if (use_pq) {
@@ -252,23 +245,13 @@ void ScanRuns(const BlockScanParams& p, size_t begin, size_t survivors,
     } else {
       const float* rows = ls->slice.RowBlock(r0, run);
       if (use_ip) {
-        if (shaped) {
-          kt.ip_batch_shaped(p.q_slice, rows, run, p.width,
-                             partial + begin + j, p.dispatch.shape);
-        } else {
-          kt.ip_batch(p.q_slice, rows, run, p.width, partial + begin + j);
-        }
+        kt.ip_batch(p.q_slice, rows, run, p.width, partial + begin + j, shape);
         if (p.use_norms) {
           const float* bn = ls->block_norm_sq.data() + r0;
           for (size_t t = 0; t < run; ++t) rem_p_sq[begin + j + t] -= bn[t];
         }
       } else {
-        if (shaped) {
-          kt.l2_batch_shaped(p.q_slice, rows, run, p.width,
-                             partial + begin + j, p.dispatch.shape);
-        } else {
-          kt.l2_batch(p.q_slice, rows, run, p.width, partial + begin + j);
-        }
+        kt.l2_batch(p.q_slice, rows, run, p.width, partial + begin + j, shape);
       }
     }
     j += run;
@@ -406,9 +389,8 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
   // tiles. A tile is a run of consecutive rows that every member of the
   // subset S wants next; it is cut short where a member outside S would
   // join, so divergent streams re-align at the earliest opportunity.
-  const ScanKernelTable& kt = TableOf(p.dispatch);
-  const bool shaped = p.dispatch.table != nullptr;
-  const size_t pf_rows = shaped ? p.dispatch.shape.prefetch : 0;
+  const ScanKernelTable& kt = *p.dispatch.table;
+  const KernelShape shape = p.dispatch.shape;
   std::vector<const float*> qs(num_members);
   std::vector<float*> accums(num_members);
   std::vector<ListSeg*> active(num_members);
@@ -468,27 +450,17 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
         // tile; hint the rows just past it (the likely next tile of this
         // list) at the tuned distance so the walk crosses tile boundaries
         // without a cold stall.
-        if (pf_rows > 0) {
+        if (shape.prefetch > 0) {
           PrefetchRunHead(lw.ls->slice, static_cast<size_t>(rmin) + len,
-                          pf_rows);
+                          shape.prefetch);
         }
         if (ns == 1) {
           const GroupMemberScan& mem = members[active[0]->member];
           float* acc = mem.partial + active[0]->cursor;
           if (use_ip) {
-            if (shaped) {
-              kt.ip_batch_shaped(mem.q_slice, rows, len, p.width, acc,
-                                 p.dispatch.shape);
-            } else {
-              kt.ip_batch(mem.q_slice, rows, len, p.width, acc);
-            }
+            kt.ip_batch(mem.q_slice, rows, len, p.width, acc, shape);
           } else {
-            if (shaped) {
-              kt.l2_batch_shaped(mem.q_slice, rows, len, p.width, acc,
-                                 p.dispatch.shape);
-            } else {
-              kt.l2_batch(mem.q_slice, rows, len, p.width, acc);
-            }
+            kt.l2_batch(mem.q_slice, rows, len, p.width, acc, shape);
           }
         } else {
           for (size_t s = 0; s < ns; ++s) {
@@ -497,19 +469,11 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
             accums[s] = mem.partial + active[s]->cursor;
           }
           if (use_ip) {
-            if (shaped) {
-              kt.ip_group_shaped(qs.data(), ns, rows, len, p.width,
-                                 accums.data(), p.dispatch.shape);
-            } else {
-              kt.ip_group(qs.data(), ns, rows, len, p.width, accums.data());
-            }
+            kt.ip_group(qs.data(), ns, rows, len, p.width, accums.data(),
+                        shape);
           } else {
-            if (shaped) {
-              kt.l2_group_shaped(qs.data(), ns, rows, len, p.width,
-                                 accums.data(), p.dispatch.shape);
-            } else {
-              kt.l2_group(qs.data(), ns, rows, len, p.width, accums.data());
-            }
+            kt.l2_group(qs.data(), ns, rows, len, p.width, accums.data(),
+                        shape);
           }
         }
         if (use_ip && p.use_norms) {

@@ -59,10 +59,9 @@ struct BlockScanParams {
   size_t code_size = 0;          ///< Bytes per code row (M_d).
   float q_band_norm = 0.0f;      ///< IP only: ||q^(d)||.
   /// Resolved kernel dispatch of the batch (ExecContext::DispatchFor): the
-  /// tier table plus the tuned tile shape the shaped kernels run with. A
-  /// null table (the default) selects the process-wide ScanKernels() table
-  /// through the unshaped entries — the historical behavior. Shapes are
-  /// bit-transparent, so this field moves throughput only.
+  /// tier table plus the tuned tile shape the kernels run with. Required —
+  /// the scan dereferences the table. Shapes are bit-transparent, so the
+  /// shape moves throughput only.
   KernelDispatch dispatch;
 };
 
@@ -92,8 +91,7 @@ struct GroupScanParams {
   bool use_pq = false;
   size_t ksub = 0;
   size_t code_size = 0;
-  /// Resolved kernel dispatch (see BlockScanParams::dispatch). Null table =
-  /// historical unshaped ScanKernels() path.
+  /// Resolved kernel dispatch (see BlockScanParams::dispatch); required.
   KernelDispatch dispatch;
 };
 

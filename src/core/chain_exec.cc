@@ -318,9 +318,7 @@ BlockScanParams MakeStageScanParams(const ExecContext& ctx,
   scan.use_batched = ctx.opts->use_batched_kernels;
   // Plan-recorded kernel dispatch: the tier table + tuned tile shape the
   // context resolved once for the whole batch.
-  if (ctx.kernel_tune != nullptr) {
-    scan.dispatch = ctx.DispatchFor(range.width());
-  }
+  scan.dispatch = ctx.DispatchFor(range.width());
   if (ctx.use_pq) {
     const ProductQuantizer& q = ctx.opts->pq->block(d);
     scan.luts = cand.luts.data() + d * chain.lists.size();
@@ -346,9 +344,7 @@ size_t RerankChainIndices(const ExecContext& ctx, const QueryChain& chain,
                           const ChainCandidates& cand, uint64_t scanned_mask,
                           const size_t* pick, size_t n_pick, bool skip_by_tau,
                           float tau, size_t dist_base, float* dist_out) {
-  const ScanKernelTable& kt = ctx.kernel_tune != nullptr
-                                  ? ScanKernelsFor(ctx.kernel_tune->tier)
-                                  : ScanKernels();
+  const ScanKernelTable& kt = ScanKernelsFor(ctx.kernel_tune->tier);
   const bool use_ip = ctx.use_ip;
   const float* qrow = ctx.queries->Row(static_cast<size_t>(chain.query));
   const size_t num_lists = chain.lists.size();
@@ -583,9 +579,7 @@ void ChainExecutor::RunGroupStage(std::shared_ptr<GroupExecState> group) {
   params.use_norms = ctx_.use_norms;
   params.width = range.width();
   params.use_batched = ctx_.opts->use_batched_kernels;
-  if (ctx_.kernel_tune != nullptr) {
-    params.dispatch = ctx_.DispatchFor(range.width());
-  }
+  params.dispatch = ctx_.DispatchFor(range.width());
   if (ctx_.use_pq) {
     const ProductQuantizer& q = ctx_.opts->pq->block(d);
     params.use_pq = true;

@@ -169,51 +169,9 @@ void HarmonyEngine::RedistributeDelta(const PartitionPlan& plan) {
       const int32_t list = shard.lists[r];
       const size_t dest =
           static_cast<size_t>(plan.list_to_shard[static_cast<size_t>(list)]);
-      delta_[dest].Append(row, shard.dim, shard.ids[r], list, plan.dim_ranges);
+      delta_[dest].Append(row, shard.dim, shard.ids[r], list);
     }
   }
-}
-
-Status HarmonyEngine::AddVectors(const DatasetView& vectors) {
-  if (!built_) return Status::FailedPrecondition("Build() must run first");
-  if (vectors.empty()) return Status::OK();
-  if (vectors.dim() != index_.dim()) {
-    return Status::InvalidArgument("dimension mismatch on AddVectors");
-  }
-  // Bulk load assigns ids densely from index_.num_vectors(); once the
-  // epoch-versioned path has run (pending inserts, or a merge after
-  // deletes made the id space sparse) that would collide with or reuse a
-  // live id.
-  if (next_id_ != index_.num_vectors() || tombstone_count_ > 0) {
-    return Status::FailedPrecondition(
-        "AddVectors requires a pristine id space: use InsertVectors once "
-        "epoch-versioned updates have run");
-  }
-  const size_t first_id = index_.num_vectors();
-  HARMONY_RETURN_NOT_OK(index_.Add(vectors));
-  const DatasetView centroids = index_.centroids().View();
-  for (size_t i = 0; i < vectors.size(); ++i) {
-    const float* row = vectors.Row(i);
-    const int64_t gid = static_cast<int64_t>(first_id + i);
-    const int32_t list = NearestCentroid(centroids, row);
-    const size_t shard =
-        static_cast<size_t>(plan_.list_to_shard[static_cast<size_t>(list)]);
-    for (size_t d = 0; d < plan_.num_dim_blocks; ++d) {
-      for (size_t r = 0; r < plan_.replication; ++r) {
-        const size_t machine =
-            static_cast<size_t>(plan_.ReplicaOf(shard, d, r));
-        HARMONY_RETURN_NOT_OK(stores_[machine].AppendVector(
-            shard, d, list, plan_.dim_ranges[d], row, vectors.dim(), gid,
-            stores_with_norms_,
-            quantizer_.trained() ? &quantizer_ : nullptr,
-            quantizer_.trained()
-                ? index_.centroids().Row(static_cast<size_t>(list))
-                : nullptr));
-      }
-    }
-  }
-  next_id_ = index_.num_vectors();
-  return Status::OK();
 }
 
 Status HarmonyEngine::InsertOne(const float* row, int64_t gid) {
@@ -221,7 +179,7 @@ Status HarmonyEngine::InsertOne(const float* row, int64_t gid) {
   const size_t shard =
       static_cast<size_t>(plan_.list_to_shard[static_cast<size_t>(list)]);
   update_log_.AppendInsert(gid, row, index_.dim());
-  delta_[shard].Append(row, index_.dim(), gid, list, plan_.dim_ranges);
+  delta_[shard].Append(row, index_.dim(), gid, list);
   epoch_dirty_ = true;
   return Status::OK();
 }

@@ -91,15 +91,6 @@ class HarmonyEngine {
   /// index's IvfParams must match this engine's metric.
   Status BuildFromIndex(IvfIndex index);
 
-  /// Inserts new vectors into a built engine: each is assigned to its
-  /// nearest IVF list and its dimension slices are appended to the owning
-  /// machines' grid blocks in place — no re-partitioning, mirroring how a
-  /// deployment absorbs online writes between re-balancing epochs. This is
-  /// the legacy bulk-load path and requires a pristine id space: once
-  /// epoch-versioned updates have run (InsertVectors / a merge after
-  /// deletes), it refuses rather than risk reusing a global id.
-  Status AddVectors(const DatasetView& vectors);
-
   /// Epoch-versioned insert (docs/mutability.md): each vector is appended
   /// to the durable update log and buffered in its vector shard's
   /// DeltaShard; the next batch folds the delta into a fresh store epoch
@@ -161,8 +152,9 @@ class HarmonyEngine {
   }
 
   /// Attaches one int32 metadata label per stored vector (e.g. a tenant,
-  /// category, or shard-group id). Must be called after Build()/AddVectors
-  /// with exactly index().num_vectors() entries; enables filtered search.
+  /// category, or shard-group id), indexed by global id. Must be called
+  /// after Build() with exactly IdSpan() entries — after InsertVectors, call
+  /// it again so the new ids carry labels; enables filtered search.
   Status SetLabels(std::vector<int32_t> labels);
 
   /// Replaces the engine's fault plan for subsequent SearchBatch* calls —

@@ -53,8 +53,8 @@ struct MemoryStats {
   /// Peak per-machine bytes during query execution (stored blocks plus the
   /// widest concurrent set of in-flight intermediates).
   uint64_t peak_query_bytes = 0;
-  /// Pending delta-shard buffers (full rows + dim-sliced mirrors + id/list
-  /// columns) awaiting the next merge; 0 between merges with no updates.
+  /// Pending delta-shard buffers (full rows + id/list columns) awaiting the
+  /// next merge; 0 between merges with no updates.
   uint64_t delta_bytes_total = 0;
   /// Live tombstone bitset over the global id space; 0 with no pending
   /// deletes (the bitset is dropped at each merge).

@@ -178,43 +178,16 @@ Result<std::vector<WorkerStore>> BuildWorkerStores(const IvfIndex& index,
 }
 
 void DeltaShard::Append(const float* row, size_t full_dim, int64_t id,
-                        int32_t list, const std::vector<DimRange>& ranges) {
+                        int32_t list) {
   dim = full_dim;
-  if (block_rows.size() != ranges.size()) block_rows.resize(ranges.size());
   full_rows.insert(full_rows.end(), row, row + full_dim);
   ids.push_back(id);
   lists.push_back(list);
-  for (size_t d = 0; d < ranges.size(); ++d) {
-    block_rows[d].insert(block_rows[d].end(), row + ranges[d].begin,
-                         row + ranges[d].end);
-  }
-}
-
-void DeltaShard::Reslice(const std::vector<DimRange>& ranges) {
-  block_rows.assign(ranges.size(), {});
-  for (size_t r = 0; r < rows(); ++r) {
-    const float* row = full_rows.data() + r * dim;
-    for (size_t d = 0; d < ranges.size(); ++d) {
-      block_rows[d].insert(block_rows[d].end(), row + ranges[d].begin,
-                           row + ranges[d].end);
-    }
-  }
-}
-
-void DeltaShard::Clear() {
-  full_rows.clear();
-  ids.clear();
-  lists.clear();
-  block_rows.clear();
 }
 
 size_t DeltaShard::SizeBytes() const {
-  size_t bytes = full_rows.size() * sizeof(float) +
-                 ids.size() * sizeof(int64_t) + lists.size() * sizeof(int32_t);
-  for (const std::vector<float>& b : block_rows) {
-    bytes += b.size() * sizeof(float);
-  }
-  return bytes;
+  return full_rows.size() * sizeof(float) + ids.size() * sizeof(int64_t) +
+         lists.size() * sizeof(int32_t);
 }
 
 }  // namespace harmony

@@ -113,34 +113,21 @@ class WorkerStore {
 };
 
 /// \brief Uncompacted update buffer of one vector shard (docs/mutability.md):
-/// rows inserted since the last merge, held in the same dim-sliced layout as
-/// the shard's frozen grid blocks — `block_rows[d]` is the row-major buffer
-/// of every delta row's columns in dimension block d — plus the full-dim
-/// originals the next epoch fold and merge consume (slicing is a column
-/// copy, so the full rows are the durable source of truth and survive a
-/// re-slice when the plan's dim ranges change).
+/// the full-dimension rows inserted since the last merge, with their ids and
+/// owning IVF lists. The epoch fold slices them into the snapshot's grid
+/// blocks and a merge rebuilds from them, so they are the durable source of
+/// truth and need no re-slice when the plan's dim ranges change.
 struct DeltaShard {
   std::vector<float> full_rows;  ///< Row-major, full dimension.
   std::vector<int64_t> ids;      ///< Global id per delta row.
   std::vector<int32_t> lists;    ///< Owning IVF list per delta row.
-  /// Per dim block: the delta rows' columns restricted to the block's range,
-  /// in the same append order as `ids` (the frozen blocks' slice layout).
-  std::vector<std::vector<float>> block_rows;
   size_t dim = 0;
 
   size_t rows() const { return ids.size(); }
 
-  /// Appends one full row, slicing it across `ranges` in place.
-  void Append(const float* row, size_t full_dim, int64_t id, int32_t list,
-              const std::vector<DimRange>& ranges);
+  void Append(const float* row, size_t full_dim, int64_t id, int32_t list);
 
-  /// Rebuilds the dim-sliced mirrors from the retained full rows — called
-  /// when a repartition changes the plan's dim ranges under pending deltas.
-  void Reslice(const std::vector<DimRange>& ranges);
-
-  void Clear();
-
-  /// Buffered bytes: full rows + sliced mirrors + id/list columns.
+  /// Buffered bytes: full rows + id/list columns.
   size_t SizeBytes() const;
 };
 

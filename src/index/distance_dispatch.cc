@@ -1,28 +1,7 @@
 #include "index/distance_simd.h"
 
-#include "util/logging.h"
-
 namespace harmony {
 namespace simd {
-
-#if !defined(__AVX2__) && !defined(HARMONY_HAVE_AVX2_TU)
-// The AVX2 translation unit was not built; the dispatcher never selects
-// these because Avx2Available() returns false. Returning a silent wrong
-// result here would be a correctness footgun if the dispatch logic ever
-// regressed, so reaching a stub aborts loudly instead.
-float L2SqDistanceAvx2(const float*, const float*, size_t) {
-  HARMONY_CHECK_MSG(false,
-                    "L2SqDistanceAvx2 stub called: AVX2 TU not built but "
-                    "dispatch selected the AVX2 kernel");
-  return 0.0f;  // Unreachable.
-}
-float InnerProductAvx2(const float*, const float*, size_t) {
-  HARMONY_CHECK_MSG(false,
-                    "InnerProductAvx2 stub called: AVX2 TU not built but "
-                    "dispatch selected the AVX2 kernel");
-  return 0.0f;  // Unreachable.
-}
-#endif
 
 bool Avx2Available() {
 #if defined(HARMONY_HAVE_AVX2_TU)

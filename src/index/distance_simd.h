@@ -1,17 +1,11 @@
 #ifndef HARMONY_INDEX_DISTANCE_SIMD_H_
 #define HARMONY_INDEX_DISTANCE_SIMD_H_
 
-#include <cstddef>
-
 namespace harmony {
 namespace simd {
 
-/// AVX2 kernels (defined in distance_avx2.cc, compiled with -mavx2; only
-/// ever *called* after a runtime CPU check — see distance.cc).
-float L2SqDistanceAvx2(const float* a, const float* b, size_t dim);
-float InnerProductAvx2(const float* a, const float* b, size_t dim);
-
-/// True when this build carries the AVX2 kernels AND the running CPU
+/// True when this build carries the AVX2 scan kernels
+/// (scan_kernel_avx2.cc, compiled with -mavx2 -mfma) AND the running CPU
 /// supports them.
 bool Avx2Available();
 

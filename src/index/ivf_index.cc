@@ -7,7 +7,7 @@
 #include <memory>
 #include <numeric>
 
-#include "index/scan_kernel.h"
+#include "index/kernel_tune.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -174,8 +174,9 @@ std::vector<int32_t> IvfIndex::ProbeLists(const float* query,
   // selected prefix) instead of ordering the whole scored set. Ties break
   // by list id, matching the historical (distance, id) partial sort.
   std::vector<float> scores(nlist(), 0.0f);
-  ScanKernels().l2_batch(query, centroids_.Row(0), nlist(), dim(),
-                         scores.data());
+  const KernelDispatch kd = DefaultDispatch(Metric::kL2, dim());
+  kd.table->l2_batch(query, centroids_.Row(0), nlist(), dim(), scores.data(),
+                     kd.shape);
   std::vector<int32_t> out(nlist());
   std::iota(out.begin(), out.end(), 0);
   const auto nearer = [&scores](int32_t a, int32_t b) {
@@ -201,7 +202,7 @@ Result<std::vector<Neighbor>> IvfIndex::Search(const float* query, size_t k,
     return Status::InvalidArgument("k and nprobe must be > 0");
   }
   TopKHeap heap(k);
-  const ScanKernelTable& kernels = ScanKernels();
+  const KernelDispatch kd = DefaultDispatch(metric(), dim());
   const bool use_l2 = metric() == Metric::kL2;
   std::vector<float> scores;
   for (const int32_t list : ProbeLists(query, nprobe)) {
@@ -213,9 +214,11 @@ Result<std::vector<Neighbor>> IvfIndex::Search(const float* query, size_t k,
     const DatasetView vecs = ListVectors(static_cast<size_t>(list));
     scores.assign(ids.size(), 0.0f);
     if (use_l2) {
-      kernels.l2_batch(query, vecs.Row(0), ids.size(), dim(), scores.data());
+      kd.table->l2_batch(query, vecs.Row(0), ids.size(), dim(), scores.data(),
+                         kd.shape);
     } else {
-      kernels.ip_batch(query, vecs.Row(0), ids.size(), dim(), scores.data());
+      kd.table->ip_batch(query, vecs.Row(0), ids.size(), dim(), scores.data(),
+                         kd.shape);
     }
     for (size_t i = 0; i < ids.size(); ++i) {
       heap.Push(ids[i], use_l2 ? scores[i] : -scores[i]);

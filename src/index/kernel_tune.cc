@@ -64,8 +64,8 @@ double TimeNs(const Fn& fn, size_t iters) {
 
 /// Hysteresis of the measured search: a candidate must beat the incumbent
 /// by this factor to displace it. The incumbent starts as the tier's
-/// historical default shape, so timing noise degenerates to the known-good
-/// default instead of promoting a 1%-lucky stranger.
+/// default shape, so timing noise degenerates to the known-good default
+/// instead of promoting a 1%-lucky stranger.
 constexpr double kImprovement = 0.97;
 
 /// Spins `fn` for ~`target_ns` of wall time. After idle, 512-bit code
@@ -81,9 +81,9 @@ void WarmUpVectorUnits(const Fn& fn, double target_ns = 2e6) {
   } while (NowNs() - t0 < target_ns);
 }
 
-/// kAuto tier pick: when both SIMD tiers are live, time their default batch
-/// kernels head-to-head once (any outcome is bit-identical, so noise here
-/// is harmless); prefer the wider tier on ties.
+/// kAuto tier pick: when both SIMD tiers are live, time their batch kernels
+/// head-to-head once, each at its default shape (any outcome is
+/// bit-identical, so noise here is harmless); prefer the wider tier on ties.
 KernelTier PickAutoTier() {
   const bool has512 = KernelTierAvailable(KernelTier::kAvx512);
   const bool has2 = KernelTierAvailable(KernelTier::kAvx2);
@@ -91,6 +91,8 @@ KernelTier PickAutoTier() {
   if (!has2) return KernelTier::kAvx512;
   const ScanKernelTable& t512 = ScanKernelsFor(KernelTier::kAvx512);
   const ScanKernelTable& t2 = ScanKernelsFor(KernelTier::kAvx2);
+  const KernelTuneTable d512 = DefaultKernelTune(KernelTier::kAvx512);
+  const KernelTuneTable d2 = DefaultKernelTune(KernelTier::kAvx2);
   // Head-to-head over a couple of widths, scored as the median of paired
   // (avx2, avx512) samples. Host frequency states drift on millisecond
   // scales, so two independently-minimized times can come from different
@@ -101,12 +103,15 @@ KernelTier PickAutoTier() {
     std::vector<float> q(w), rows(kTuneRows * w), accum(kTuneRows, 0.0f);
     FillSynthetic(q.data(), q.size(), 11);
     FillSynthetic(rows.data(), rows.size(), 12);
+    const KernelShape shape2 = d2.shape(Metric::kL2, w);
+    const KernelShape shape512 = d512.shape(Metric::kL2, w);
     const size_t iters = 8;
     auto run2 = [&] {
-      t2.l2_batch(q.data(), rows.data(), kTuneRows, w, accum.data());
+      t2.l2_batch(q.data(), rows.data(), kTuneRows, w, accum.data(), shape2);
     };
     auto run512 = [&] {
-      t512.l2_batch(q.data(), rows.data(), kTuneRows, w, accum.data());
+      t512.l2_batch(q.data(), rows.data(), kTuneRows, w, accum.data(),
+                    shape512);
     };
     WarmUpVectorUnits(run2);
     WarmUpVectorUnits(run512);
@@ -217,7 +222,14 @@ bool KernelTuneTable::Parse(std::string_view profile, KernelTuneTable* out) {
 KernelTuneTable DefaultKernelTune(KernelTier tier) {
   KernelTuneTable t;
   t.tier = ResolveKernelTier(tier);
-  // The historical hard-coded shapes of each tier's unshaped entries.
+  // Every tier prefetches 2 rows ahead and tiles groups by 4 queries. AVX2
+  // blocks L2 by 4 rows and IP by 6: IP has no subtract temporary, so 6
+  // rows x 2 accumulators plus the two query registers still fit the 16
+  // ymm registers, and the wider group amortizes each query load over 6
+  // FMAs instead of 4 (the kernel is load-port-bound, so fewer loads per
+  // row is the win). AVX-512 blocks both by 8 rows: one zmm accumulator per
+  // row makes that free. The portable tier has no register blocking, so its
+  // row block is nominal.
   KernelShape l2{4, 4, 2}, ip{6, 4, 2};
   if (t.tier == KernelTier::kAvx512) {
     l2 = KernelShape{8, 4, 2};
@@ -230,6 +242,11 @@ KernelTuneTable DefaultKernelTune(KernelTier tier) {
     t.shapes[1][b] = ip;
   }
   return t;
+}
+
+KernelDispatch DefaultDispatch(Metric m, size_t width) {
+  static const KernelTuneTable t = DefaultKernelTune(KernelTier::kAuto);
+  return t.DispatchFor(m, width);
 }
 
 KernelTuneTable MeasureKernelTune(KernelTier tier) {
@@ -254,14 +271,13 @@ KernelTuneTable MeasureKernelTune(KernelTier tier) {
     const size_t w = kBucketWidth[1];
     const KernelShape warm = tune.shapes[0][1];
     WarmUpVectorUnits([&] {
-      kt.l2_batch_shaped(qdata.data(), rows.data(), kTuneRows, w, accum.data(),
-                         warm);
+      kt.l2_batch(qdata.data(), rows.data(), kTuneRows, w, accum.data(), warm);
     });
   }
 
   for (size_t m = 0; m < 2; ++m) {
-    const auto batch = m == 0 ? kt.l2_batch_shaped : kt.ip_batch_shaped;
-    const auto group = m == 0 ? kt.l2_group_shaped : kt.ip_group_shaped;
+    const auto batch = m == 0 ? kt.l2_batch : kt.ip_batch;
+    const auto group = m == 0 ? kt.l2_group : kt.ip_group;
     for (size_t b = 1; b < KernelTuneTable::kNumBuckets; ++b) {
       const size_t w = kBucketWidth[b];
       for (size_t g = 0; g < kTuneGroupQueries; ++g) {
@@ -272,7 +288,7 @@ KernelTuneTable MeasureKernelTune(KernelTier tier) {
           std::max<size_t>(1, (size_t{1} << 17) / (kTuneRows * w));
       // Row block x prefetch on the batch kernel (the portable tier has no
       // register blocking, so only the prefetch axis is searched there).
-      // The incumbent is the tier's historical default, timed first; every
+      // The incumbent is the tier's default shape, timed first; every
       // candidate must improve on the incumbent by 1/kImprovement to win.
       KernelShape best = tune.shapes[m][b];
       const auto time_batch = [&](KernelShape shape) {

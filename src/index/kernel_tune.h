@@ -10,10 +10,11 @@
 
 namespace harmony {
 
-/// \brief One resolved kernel choice: the tier table plus the tuned tile
-/// shape the shaped entries run with. A null table means "use the
-/// process-wide ScanKernels() table through the unshaped entries" — the
-/// historical behavior, and what default-constructed scan params get.
+/// \brief One resolved kernel choice: the tier table plus the tile shape
+/// its batch/group kernels run with. Scans dereference `table`, so every
+/// scan caller sets it: the execution core from the batch's recorded
+/// KernelTuneTable (ExecContext::DispatchFor), scans outside an execution
+/// context from DefaultDispatch.
 struct KernelDispatch {
   const ScanKernelTable* table = nullptr;
   KernelShape shape;
@@ -71,10 +72,17 @@ struct KernelTuneTable {
   static bool Parse(std::string_view profile, KernelTuneTable* out);
 };
 
-/// Historical default shapes for `tier` (what the unshaped table entries
-/// hard-code): the fallback when tuning is skipped and the seed the
-/// measured search starts from.
+/// Default shapes for `tier` (resolved first) — the one place each tier's
+/// default tile shape is written down: the shapes of scans that run outside
+/// an execution context (DefaultDispatch), the fallback when tuning is
+/// skipped, and the seed the measured search starts from.
 KernelTuneTable DefaultKernelTune(KernelTier tier);
+
+/// The process-wide ScanKernels() table with its default shape for
+/// (metric, width): DefaultKernelTune(kAuto), built once. The dispatch of
+/// the scans that never wait on the autotuner — the IVF probe and list
+/// scan and k-means.
+KernelDispatch DefaultDispatch(Metric m, size_t width);
 
 /// Runs the micro-autotuner for `tier` (resolved first; kAuto picks the
 /// best available): times the candidate shapes — row-block 4/6/8 x

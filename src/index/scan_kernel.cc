@@ -58,79 +58,34 @@ inline void PrefetchRow(const float* row, size_t width) {
 
 }  // namespace
 
+// The portable tier has no register blocking — the row loop IS the per-row
+// path — so its batch and group kernels honor only the shape's prefetch
+// distance and query-tile width. Results are L2Row/IpRow per (query, row)
+// for any shape, like every other tier.
+
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum) {
+             float* accum, KernelShape shape) {
+  const size_t pf = shape.prefetch;
   for (size_t r = 0; r < count; ++r) {
-    if (r + 2 < count) PrefetchRow(rows + (r + 2) * width, width);
+    if (pf != 0 && r + pf < count) PrefetchRow(rows + (r + pf) * width, width);
     accum[r] += L2Row(q, rows + r * width, width);
   }
 }
 
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum) {
+             float* accum, KernelShape shape) {
+  const size_t pf = shape.prefetch;
   for (size_t r = 0; r < count; ++r) {
-    if (r + 2 < count) PrefetchRow(rows + (r + 2) * width, width);
+    if (pf != 0 && r + pf < count) PrefetchRow(rows + (r + pf) * width, width);
     accum[r] += IpRow(q, rows + r * width, width);
   }
 }
 
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums) {
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape) {
   // Row-outer, query-inner: each row is loaded from memory once per query
-  // tile and scored against every query in the group. Per (query, row) the
-  // body is L2Row, the bitwise reference for the whole L2 column.
-  for (size_t q0 = 0; q0 < nq; q0 += kMaxQueryGroup) {
-    const size_t qn = std::min(kMaxQueryGroup, nq - q0);
-    for (size_t r = 0; r < count; ++r) {
-      if (r + 2 < count) PrefetchRow(rows + (r + 2) * width, width);
-      const float* row = rows + r * width;
-      for (size_t g = 0; g < qn; ++g) {
-        accums[q0 + g][r] += L2Row(qs[q0 + g], row, width);
-      }
-    }
-  }
-}
-
-void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums) {
-  for (size_t q0 = 0; q0 < nq; q0 += kMaxQueryGroup) {
-    const size_t qn = std::min(kMaxQueryGroup, nq - q0);
-    for (size_t r = 0; r < count; ++r) {
-      if (r + 2 < count) PrefetchRow(rows + (r + 2) * width, width);
-      const float* row = rows + r * width;
-      for (size_t g = 0; g < qn; ++g) {
-        accums[q0 + g][r] += IpRow(qs[q0 + g], row, width);
-      }
-    }
-  }
-}
-
-// The portable tier has no register-blocked variants — the row loop IS the
-// per-row path — so the shaped entries only honor the prefetch distance and
-// the query-tile width. Results are L2Row/IpRow per (query, row) for any
-// shape, like every other tier.
-
-void L2BatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape) {
-  const size_t pf = shape.prefetch;
-  for (size_t r = 0; r < count; ++r) {
-    if (pf != 0 && r + pf < count) PrefetchRow(rows + (r + pf) * width, width);
-    accum[r] += L2Row(q, rows + r * width, width);
-  }
-}
-
-void IpBatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape) {
-  const size_t pf = shape.prefetch;
-  for (size_t r = 0; r < count; ++r) {
-    if (pf != 0 && r + pf < count) PrefetchRow(rows + (r + pf) * width, width);
-    accum[r] += IpRow(q, rows + r * width, width);
-  }
-}
-
-void L2GroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape) {
+  // tile and scored against every query in the tile.
   const size_t qt = std::clamp<size_t>(shape.query_tile, 1, kMaxQueryTile);
   const size_t pf = shape.prefetch;
   for (size_t q0 = 0; q0 < nq; q0 += qt) {
@@ -147,9 +102,9 @@ void L2GroupShaped(const float* const* qs, size_t nq, const float* rows,
   }
 }
 
-void IpGroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape) {
+void IpGroup(const float* const* qs, size_t nq, const float* rows,
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape) {
   const size_t qt = std::clamp<size_t>(shape.query_tile, 1, kMaxQueryTile);
   const size_t pf = shape.prefetch;
   for (size_t q0 = 0; q0 < nq; q0 += qt) {
@@ -205,36 +160,30 @@ void AdcBatch(const float* lut, size_t ksub, const uint8_t* codes,
 namespace {
 
 constexpr ScanKernelTable kPortableTable = {
-    portable::L2Row,          portable::IpRow,
-    portable::L2Batch,        portable::IpBatch,
-    portable::L2Group,        portable::IpGroup,
-    portable::L2BatchShaped,  portable::IpBatchShaped,
-    portable::L2GroupShaped,  portable::IpGroupShaped,
-    portable::PruneMaskL2,    portable::PruneMaskIp,
-    portable::AdcBatch,       "portable",
+    portable::L2Row,       portable::IpRow,
+    portable::L2Batch,     portable::IpBatch,
+    portable::L2Group,     portable::IpGroup,
+    portable::PruneMaskL2, portable::PruneMaskIp,
+    portable::AdcBatch,    "portable",
 };
 
 #if defined(HARMONY_HAVE_AVX2_TU)
 constexpr ScanKernelTable kAvx2Table = {
-    avx2::L2Row,          avx2::IpRow,
-    avx2::L2Batch,        avx2::IpBatch,
-    avx2::L2Group,        avx2::IpGroup,
-    avx2::L2BatchShaped,  avx2::IpBatchShaped,
-    avx2::L2GroupShaped,  avx2::IpGroupShaped,
-    avx2::PruneMaskL2,    avx2::PruneMaskIp,
-    avx2::AdcBatch,       "avx2",
+    avx2::L2Row,       avx2::IpRow,
+    avx2::L2Batch,     avx2::IpBatch,
+    avx2::L2Group,     avx2::IpGroup,
+    avx2::PruneMaskL2, avx2::PruneMaskIp,
+    avx2::AdcBatch,    "avx2",
 };
 #endif
 
 #if defined(HARMONY_HAVE_AVX512_TU)
 constexpr ScanKernelTable kAvx512Table = {
-    avx512::L2Row,          avx512::IpRow,
-    avx512::L2Batch,        avx512::IpBatch,
-    avx512::L2Group,        avx512::IpGroup,
-    avx512::L2BatchShaped,  avx512::IpBatchShaped,
-    avx512::L2GroupShaped,  avx512::IpGroupShaped,
-    avx512::PruneMaskL2,    avx512::PruneMaskIp,
-    avx512::AdcBatch,       "avx512",
+    avx512::L2Row,       avx512::IpRow,
+    avx512::L2Batch,     avx512::IpBatch,
+    avx512::L2Group,     avx512::IpGroup,
+    avx512::PruneMaskL2, avx512::PruneMaskIp,
+    avx512::AdcBatch,    "avx512",
 };
 #endif
 

@@ -33,14 +33,14 @@ bool KernelTierAvailable(KernelTier tier);
 /// back to the widest available one.
 KernelTier ResolveKernelTier(KernelTier requested);
 
-/// \brief Tile shape of the shaped batch/group kernels — the knobs the
-/// startup micro-autotuner (index/kernel_tune.h) searches over.
+/// \brief Tile shape of the batch/group kernels — the knobs the startup
+/// micro-autotuner (index/kernel_tune.h) searches over.
 ///
 /// Every shape computes bit-identical results: the per-(query,row)
 /// accumulation order is frozen by the tier, and the shape only decides how
 /// many independent rows'/queries' accumulation chains are carried
-/// concurrently and how far ahead rows are software-prefetched. Defaults
-/// reproduce the historical hard-coded loops.
+/// concurrently and how far ahead rows are software-prefetched. Each tier's
+/// default shape lives in DefaultKernelTune (index/kernel_tune.cc).
 struct KernelShape {
   uint8_t row_block = 4;   ///< Rows per register tile (4, 6 or 8).
   uint8_t query_tile = 4;  ///< Queries per group tile (2, 4 or 8).
@@ -66,55 +66,45 @@ struct KernelShape {
 ///  * **Layout contract.** A batched call covers `count` rows stored
 ///    back-to-back with stride `width` — exactly the row layout of a
 ///    `DimSlicedMatrix` (see `DimSlicedMatrix::RowBlock`). Kernels
-///    register-block a row group at a time (4 by default, KernelShape picks
-///    4/6/8 on the shaped entries), reusing each query load across the row
-///    group, and software-prefetch upcoming rows.
+///    register-block a row group at a time (KernelShape::row_block: 4, 6 or
+///    8 rows), reusing each query load across the row group, and
+///    software-prefetch upcoming rows.
 ///  * **Bitwise identity.** For every row, the accumulation order (chunking,
 ///    accumulator splitting, horizontal reduction, scalar tail) is exactly
-///    that of the single-row kernel of the same tier, so batched, grouped,
-///    shaped and per-row scans produce bit-identical partial sums. This is
-///    what keeps determinism tests, fault-replay byte-identity, and the
-///    simulator's `DistanceOpCost` accounting unchanged — and what lets the
-///    autotuner pick any shape freely.
+///    that of the single-row kernel of the same tier, so batched, grouped
+///    and per-row scans of any shape produce bit-identical partial sums.
+///    This is what keeps determinism tests, fault-replay byte-identity, and
+///    the simulator's `DistanceOpCost` accounting unchanged — and what lets
+///    the autotuner pick any shape freely.
 struct ScanKernelTable {
   /// Single-row partials; same results as PartialL2Sq / PartialIp.
   float (*l2_row)(const float* a, const float* b, size_t width);
   float (*ip_row)(const float* a, const float* b, size_t width);
 
   /// Batched partials over `count` contiguous rows (stride == width):
-  /// `accum[i] += partial(q, rows + i * width)` for i in [0, count).
+  /// `accum[i] += partial(q, rows + i * width)` for i in [0, count). The
+  /// row-block width and prefetch distance come from `shape`; counts below
+  /// the row block dispatch to the per-row path — the small-batch guard
+  /// that keeps tiny runs at per-row cost.
   void (*l2_batch)(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum);
+                   size_t width, float* accum, KernelShape shape);
   void (*ip_batch)(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum);
+                   size_t width, float* accum, KernelShape shape);
 
   /// Query-group batched partials (shared scans): for each query g in
   /// [0, nq), `accums[g][i] += partial(qs[g], rows + i * width)` over the
   /// same `count` contiguous rows. The row block is streamed once per
-  /// query tile instead of once per query; per (query, row) the
-  /// accumulation order is exactly that of `l2_batch`/`ip_batch`, so a
-  /// group call is bit-identical to nq independent batch calls. `nq` may
-  /// exceed the tile width — kernels tile the query axis internally.
+  /// query tile (`shape.query_tile` queries) instead of once per query;
+  /// per (query, row) the accumulation order is exactly that of
+  /// `l2_batch`/`ip_batch`, so a group call is bit-identical to nq
+  /// independent batch calls. `nq` may exceed the tile width — kernels tile
+  /// the query axis internally.
   void (*l2_group)(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums);
+                   size_t count, size_t width, float* const* accums,
+                   KernelShape shape);
   void (*ip_group)(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums);
-
-  /// Shaped twins of the batch/group entries: identical results for every
-  /// shape (see KernelShape), with the row-block width, query-tile width
-  /// and prefetch distance taken from `shape` instead of the historical
-  /// constants. Counts below the row block dispatch to the per-row path —
-  /// the small-batch guard that keeps tiny runs at per-row cost.
-  void (*l2_batch_shaped)(const float* q, const float* rows, size_t count,
-                          size_t width, float* accum, KernelShape shape);
-  void (*ip_batch_shaped)(const float* q, const float* rows, size_t count,
-                          size_t width, float* accum, KernelShape shape);
-  void (*l2_group_shaped)(const float* const* qs, size_t nq,
-                          const float* rows, size_t count, size_t width,
-                          float* const* accums, KernelShape shape);
-  void (*ip_group_shaped)(const float* const* qs, size_t nq,
-                          const float* rows, size_t count, size_t width,
-                          float* const* accums, KernelShape shape);
+                   size_t count, size_t width, float* const* accums,
+                   KernelShape shape);
 
   /// Vectorized prune bounds over up to 64 candidates: bit i of the result
   /// is set iff candidate i can be pruned, with decisions identical to the
@@ -156,23 +146,15 @@ namespace portable {
 float L2Row(const float* a, const float* b, size_t width);
 float IpRow(const float* a, const float* b, size_t width);
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum);
+             float* accum, KernelShape shape);
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum);
+             float* accum, KernelShape shape);
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums);
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape);
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums);
-void L2BatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape);
-void IpBatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape);
-void L2GroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape);
-void IpGroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape);
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape);
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau);
 uint64_t PruneMaskIp(const float* partial, const float* rem_p_sq,
                      size_t count, float rem_q_sq, float tau);
@@ -188,23 +170,15 @@ namespace avx2 {
 float L2Row(const float* a, const float* b, size_t width);
 float IpRow(const float* a, const float* b, size_t width);
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum);
+             float* accum, KernelShape shape);
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum);
+             float* accum, KernelShape shape);
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums);
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape);
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums);
-void L2BatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape);
-void IpBatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape);
-void L2GroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape);
-void IpGroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape);
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape);
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau);
 uint64_t PruneMaskIp(const float* partial, const float* rem_p_sq,
                      size_t count, float rem_q_sq, float tau);
@@ -224,23 +198,15 @@ namespace avx512 {
 float L2Row(const float* a, const float* b, size_t width);
 float IpRow(const float* a, const float* b, size_t width);
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum);
+             float* accum, KernelShape shape);
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum);
+             float* accum, KernelShape shape);
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums);
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape);
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums);
-void L2BatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape);
-void IpBatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape);
-void L2GroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape);
-void IpGroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape);
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape);
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau);
 uint64_t PruneMaskIp(const float* partial, const float* rem_p_sq,
                      size_t count, float rem_q_sq, float tau);
@@ -251,12 +217,13 @@ void AdcBatch(const float* lut, size_t ksub, const uint8_t* codes,
 /// Maximum candidates covered by one prune-mask call.
 inline constexpr size_t kPruneMaskWidth = 64;
 
-/// Query-tile width of the *unshaped* group kernels: the AVX2 tile holds
-/// two partial accumulators per query (16-wide chunking), so 4 queries
-/// consume 8 of the 16 ymm registers and leave room for the shared row
-/// chunks and the difference temporary. The shaped group kernels take the
-/// tile width from KernelShape instead, up to kMaxQueryTile — AVX-512's 32
-/// zmm registers (one accumulator per query) make an 8-query tile viable.
+/// Default query-group cap of the serving frontend (ServePolicy::max_group)
+/// and of the probes that size one serving group. It matches the AVX2 group
+/// tile: two partial accumulators per query (16-wide chunking), so 4
+/// queries consume 8 of the 16 ymm registers and leave room for the shared
+/// row chunks and the difference temporary. The group kernels themselves
+/// tile by KernelShape::query_tile, up to kMaxQueryTile — AVX-512's 32 zmm
+/// registers (one accumulator per query) make an 8-query tile viable.
 inline constexpr size_t kMaxQueryGroup = 4;
 inline constexpr size_t kMaxQueryTile = 8;
 

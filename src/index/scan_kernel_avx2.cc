@@ -9,9 +9,9 @@
 // pinned on this TU so the tail's rounding is not compiler-discretionary) —
 // and widths below 16 fall back to the portable bodies, preserving the
 // historical runtime-dispatch cutover bit-for-bit. The register blocking
-// (4/6/8 rows, picked by the autotuned KernelShape on the shaped entries)
-// only reuses each *query* load across the row group; it never reorders a
-// row's own accumulation, so every shape produces identical bits.
+// (4/6/8 rows, picked by the KernelShape) only reuses each *query* load
+// across the row group; it never reorders a row's own accumulation, so
+// every shape produces identical bits.
 
 #include "index/scan_kernel.h"
 
@@ -26,7 +26,7 @@ namespace avx2 {
 
 namespace {
 
-/// Horizontal sum of an 8-float register; identical to distance_avx2.cc.
+/// Horizontal sum of an 8-float register.
 inline float Hsum256(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
@@ -66,13 +66,10 @@ inline __m256 FmaddOrMulAdd(__m256 a, __m256 b, __m256 acc) {
 
 /// Single-row kernel: the frozen AVX2 accumulation sequence — 16-wide
 /// chunks into two accumulators, an 8-wide chunk into the first, the
-/// Hsum256 tree, then a scalar tail. Defined here (not delegated to
-/// distance_avx2.cc) because this TU pins -ffp-contract=off: the scalar
-/// tail must round each multiply separately so the batch/group/AVX-512
-/// kernels — whose tails are compiled identically — can reproduce it
-/// bit-for-bit at every width. distance_avx2.cc predates that pin and its
-/// tail contraction is compiler-discretionary, so it cannot serve as the
-/// table's row reference.
+/// Hsum256 tree, then a scalar tail. This TU pins -ffp-contract=off: the
+/// scalar tail must round each multiply separately so the batch/group/
+/// AVX-512 kernels — whose tails are compiled identically — can reproduce
+/// it bit-for-bit at every width.
 template <bool kIp>
 float RowImpl(const float* a, const float* b, size_t dim) {
   __m256 acc0 = _mm256_setzero_ps();
@@ -216,8 +213,8 @@ void BatchImpl(const float* q, const float* rows, size_t count, size_t width,
 }
 
 template <bool kIp>
-void BatchShapedImpl(const float* q, const float* rows, size_t count,
-                     size_t width, float* accum, KernelShape shape) {
+void BatchByShape(const float* q, const float* rows, size_t count,
+                  size_t width, float* accum, KernelShape shape) {
   // Small-batch guard: below the row block there is nothing to register-
   // block — dispatch straight to the tier's canonical per-row kernel, the
   // exact exported function the per-row path runs, so tiny runs pay
@@ -254,37 +251,22 @@ float IpRow(const float* a, const float* b, size_t width) {
   return RowImpl<true>(a, b, width);
 }
 
-void L2BatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape) {
-  if (width < 16) {
-    portable::L2BatchShaped(q, rows, count, width, accum, shape);
-    return;
-  }
-  BatchShapedImpl<false>(q, rows, count, width, accum, shape);
-}
-
-void IpBatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape) {
-  if (width < 16) {
-    portable::IpBatchShaped(q, rows, count, width, accum, shape);
-    return;
-  }
-  BatchShapedImpl<true>(q, rows, count, width, accum, shape);
-}
-
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum) {
-  // Historical default shape: 4-row blocking, 2-row prefetch.
-  L2BatchShaped(q, rows, count, width, accum, KernelShape{4, 4, 2});
+             float* accum, KernelShape shape) {
+  if (width < 16) {
+    portable::L2Batch(q, rows, count, width, accum, shape);
+    return;
+  }
+  BatchByShape<false>(q, rows, count, width, accum, shape);
 }
 
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum) {
-  // IP has no subtract temporary, so 6 rows x 2 accumulators plus the two
-  // query registers still fit the 16 ymm registers; the wider group
-  // amortizes each query load over 6 FMAs instead of 4 (the kernel is
-  // load-port-bound, so fewer loads per row is the win).
-  IpBatchShaped(q, rows, count, width, accum, KernelShape{6, 4, 2});
+             float* accum, KernelShape shape) {
+  if (width < 16) {
+    portable::IpBatch(q, rows, count, width, accum, shape);
+    return;
+  }
+  BatchByShape<true>(q, rows, count, width, accum, shape);
 }
 
 namespace {
@@ -361,7 +343,7 @@ void GroupTileRun(const float* const* qs, size_t n, const float* rows,
   const size_t pf = shape.prefetch;
   switch (n) {
     case 1:
-      BatchShapedImpl<kIp>(qs[0], rows, count, width, accums[0], shape);
+      BatchByShape<kIp>(qs[0], rows, count, width, accums[0], shape);
       break;
     case 2:
       GroupTile<2, kIp>(qs, rows, count, width, accums, pf);
@@ -388,9 +370,9 @@ void GroupTileRun(const float* const* qs, size_t n, const float* rows,
 }
 
 template <bool kIp>
-void GroupShapedImpl(const float* const* qs, size_t nq, const float* rows,
-                     size_t count, size_t width, float* const* accums,
-                     KernelShape shape) {
+void GroupByShape(const float* const* qs, size_t nq, const float* rows,
+                  size_t count, size_t width, float* const* accums,
+                  KernelShape shape) {
   const size_t qt =
       std::clamp<size_t>(shape.query_tile, 2, kMaxQueryTile);
   size_t g = 0;
@@ -404,34 +386,24 @@ void GroupShapedImpl(const float* const* qs, size_t nq, const float* rows,
 
 }  // namespace
 
-void L2GroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape) {
-  if (width < 16) {
-    portable::L2GroupShaped(qs, nq, rows, count, width, accums, shape);
-    return;
-  }
-  GroupShapedImpl<false>(qs, nq, rows, count, width, accums, shape);
-}
-
-void IpGroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape) {
-  if (width < 16) {
-    portable::IpGroupShaped(qs, nq, rows, count, width, accums, shape);
-    return;
-  }
-  GroupShapedImpl<true>(qs, nq, rows, count, width, accums, shape);
-}
-
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums) {
-  L2GroupShaped(qs, nq, rows, count, width, accums, KernelShape{4, 4, 2});
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape) {
+  if (width < 16) {
+    portable::L2Group(qs, nq, rows, count, width, accums, shape);
+    return;
+  }
+  GroupByShape<false>(qs, nq, rows, count, width, accums, shape);
 }
 
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums) {
-  IpGroupShaped(qs, nq, rows, count, width, accums, KernelShape{6, 4, 2});
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape) {
+  if (width < 16) {
+    portable::IpGroup(qs, nq, rows, count, width, accums, shape);
+    return;
+  }
+  GroupByShape<true>(qs, nq, rows, count, width, accums, shape);
 }
 
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau) {

@@ -30,7 +30,7 @@ namespace avx512 {
 
 namespace {
 
-/// Horizontal sum of an 8-float register; identical to distance_avx2.cc.
+/// Horizontal sum of an 8-float register.
 inline float Hsum256(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
@@ -204,8 +204,8 @@ void BatchImpl(const float* q, const float* rows, size_t count, size_t width,
 }
 
 template <bool kIp>
-void BatchShapedImpl(const float* q, const float* rows, size_t count,
-                     size_t width, float* accum, KernelShape shape) {
+void BatchByShape(const float* q, const float* rows, size_t count,
+                  size_t width, float* accum, KernelShape shape) {
   if (count < shape.row_block) {
     // Small-batch guard: straight to the tier's canonical per-row kernel —
     // the exact exported function the per-row path runs.
@@ -291,7 +291,7 @@ void GroupTileRun(const float* const* qs, size_t n, const float* rows,
   const size_t pf = shape.prefetch;
   switch (n) {
     case 1:
-      BatchShapedImpl<kIp>(qs[0], rows, count, width, accums[0], shape);
+      BatchByShape<kIp>(qs[0], rows, count, width, accums[0], shape);
       break;
     case 2:
       GroupTile<2, kIp>(qs, rows, count, width, accums, pf);
@@ -318,9 +318,9 @@ void GroupTileRun(const float* const* qs, size_t n, const float* rows,
 }
 
 template <bool kIp>
-void GroupShapedImpl(const float* const* qs, size_t nq, const float* rows,
-                     size_t count, size_t width, float* const* accums,
-                     KernelShape shape) {
+void GroupByShape(const float* const* qs, size_t nq, const float* rows,
+                  size_t count, size_t width, float* const* accums,
+                  KernelShape shape) {
   const size_t qt =
       std::clamp<size_t>(shape.query_tile, 2, kMaxQueryTile);
   size_t g = 0;
@@ -344,64 +344,42 @@ float IpRow(const float* a, const float* b, size_t width) {
   return RowImpl<true>(a, b, width);
 }
 
-void L2BatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape) {
-  if (width < 16) {
-    portable::L2BatchShaped(q, rows, count, width, accum, shape);
-    return;
-  }
-  BatchShapedImpl<false>(q, rows, count, width, accum, shape);
-}
-
-void IpBatchShaped(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape) {
-  if (width < 16) {
-    portable::IpBatchShaped(q, rows, count, width, accum, shape);
-    return;
-  }
-  BatchShapedImpl<true>(q, rows, count, width, accum, shape);
-}
-
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum) {
-  // Default shape: 8-row blocking (one zmm per row makes it free here),
-  // 2-row prefetch; the autotuner refines per width bucket.
-  L2BatchShaped(q, rows, count, width, accum, KernelShape{8, 4, 2});
+             float* accum, KernelShape shape) {
+  if (width < 16) {
+    portable::L2Batch(q, rows, count, width, accum, shape);
+    return;
+  }
+  BatchByShape<false>(q, rows, count, width, accum, shape);
 }
 
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum) {
-  IpBatchShaped(q, rows, count, width, accum, KernelShape{8, 4, 2});
-}
-
-void L2GroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape) {
+             float* accum, KernelShape shape) {
   if (width < 16) {
-    portable::L2GroupShaped(qs, nq, rows, count, width, accums, shape);
+    portable::IpBatch(q, rows, count, width, accum, shape);
     return;
   }
-  GroupShapedImpl<false>(qs, nq, rows, count, width, accums, shape);
-}
-
-void IpGroupShaped(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape) {
-  if (width < 16) {
-    portable::IpGroupShaped(qs, nq, rows, count, width, accums, shape);
-    return;
-  }
-  GroupShapedImpl<true>(qs, nq, rows, count, width, accums, shape);
+  BatchByShape<true>(q, rows, count, width, accum, shape);
 }
 
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums) {
-  L2GroupShaped(qs, nq, rows, count, width, accums, KernelShape{8, 4, 2});
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape) {
+  if (width < 16) {
+    portable::L2Group(qs, nq, rows, count, width, accums, shape);
+    return;
+  }
+  GroupByShape<false>(qs, nq, rows, count, width, accums, shape);
 }
 
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums) {
-  IpGroupShaped(qs, nq, rows, count, width, accums, KernelShape{8, 4, 2});
+             size_t count, size_t width, float* const* accums,
+             KernelShape shape) {
+  if (width < 16) {
+    portable::IpGroup(qs, nq, rows, count, width, accums, shape);
+    return;
+  }
+  GroupByShape<true>(qs, nq, rows, count, width, accums, shape);
 }
 
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau) {

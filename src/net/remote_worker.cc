@@ -107,6 +107,9 @@ Status SocketWorker::Init() {
   HARMONY_ASSIGN_OR_RETURN(snap_, engine_->AcquireSnapshot());
   HARMONY_ASSIGN_OR_RETURN(
       hello_, MakeEngineHello(engine_, opts_.worker_id, opts_.num_workers));
+  // Tuned here, before the worker serves, so the first RPC never pays the
+  // autotuner.
+  kernel_tune_ = &ResolveKernelTune(KernelTier::kAuto);
   init_done_ = true;
   return Status::OK();
 }
@@ -193,9 +196,11 @@ Result<std::vector<uint32_t>> SocketWorker::HandleStageScan(
   scan.width = req.width;
   scan.slices = slices.data();
   scan.use_batched = req.use_batched;
-  // Default (null-table) dispatch: the process-wide kernel tier. Tiers and
-  // tuned shapes are bit-transparent, so the reply is bit-identical to the
-  // frontend's own scan regardless of which tier either process runs.
+  // The worker's own tuned table, exactly as an unpinned in-process batch
+  // dispatches. Tiers and tuned shapes are bit-transparent, so the reply is
+  // bit-identical to the frontend's own scan whichever tier either process
+  // runs.
+  scan.dispatch = kernel_tune_->DispatchFor(scan.metric, scan.width);
   BlockScanCounters counters;
   const size_t w = ScanBlock(scan, 0, count, req.id.data(), req.list.data(),
                              req.row.data(), req.partial.data(),
@@ -231,7 +236,9 @@ Status SocketWorker::ServeChannel(SocketChannel* ch,
     Result<WireMessage> msg = ch->Recv();
     if (!msg.ok()) {
       const StatusCode code = msg.status().code();
-      if (code == StatusCode::kTimeout) continue;  // idle; re-check stop
+      // kTimeout means no byte of a request arrived within poll_ms, so the
+      // stream is at a message boundary: idle, re-check stop.
+      if (code == StatusCode::kTimeout) continue;
       if (code == StatusCode::kUnavailable) return Status::OK();  // hangup
       return msg.status();  // torn/corrupt stream: drop the connection
     }

@@ -7,6 +7,7 @@
 
 #include "core/engine.h"
 #include "core/worker.h"
+#include "index/kernel_tune.h"
 #include "net/socket_fault.h"
 #include "net/socket_proto.h"
 #include "net/socket_transport.h"
@@ -35,7 +36,8 @@ struct SocketWorkerOptions {
   uint32_t worker_id = 0;
   uint32_t num_workers = 1;
   /// Accept/receive poll granularity: how often the serve loop re-checks
-  /// its stop flag while idle.
+  /// its stop flag while idle. It bounds only the wait for a request's
+  /// first byte; a request in flight is read to its end.
   int64_t poll_ms = 200;
   /// Deterministic connection-layer fault plan applied to every accepted
   /// channel (the worker-side shim; channel salt 2 * worker_id + 1 keeps
@@ -59,8 +61,9 @@ class SocketWorker {
 
   SocketWorker(HarmonyEngine* engine, SocketWorkerOptions opts);
 
-  /// Acquires the snapshot and computes the handshake identity. Call once
-  /// before Serve; re-call after engine mutations to serve the new epoch.
+  /// Acquires the snapshot, computes the handshake identity and resolves
+  /// the kernel tune table its scans dispatch with. Call once before Serve;
+  /// re-call after engine mutations to serve the new epoch.
   Status Init();
 
   const WorkerHello& hello() const { return hello_; }
@@ -89,6 +92,8 @@ class SocketWorker {
   HarmonyEngine* engine_;
   SocketWorkerOptions opts_;
   StoreSnapshot snap_;
+  /// The process-wide tuned kernel table (kAuto), resolved by Init.
+  const KernelTuneTable* kernel_tune_ = nullptr;
   WorkerHello hello_;
   SocketFaultInjector shim_;
   uint64_t frames_before_channel_ = 0;

@@ -205,16 +205,26 @@ Status SocketChannel::WriteAll(const uint8_t* data, size_t size,
   return Status::OK();
 }
 
-Status SocketChannel::ReadAll(uint8_t* data, size_t size, int64_t deadline_at,
-                              size_t read_cap, bool* clean_eof) {
+Status SocketChannel::ReadAll(uint8_t* data, size_t size, size_t read_cap,
+                              int64_t* deadline_at, bool* started,
+                              bool* clean_eof) {
   if (clean_eof != nullptr) *clean_eof = false;
   size_t off = 0;
   while (off < size) {
-    HARMONY_RETURN_NOT_OK(PollFor(fd_, POLLIN, deadline_at));
+    const Status polled = PollFor(fd_, POLLIN, *deadline_at);
+    if (!polled.ok()) {
+      if (*started && polled.code() == StatusCode::kTimeout) {
+        return Status::IoError("peer stalled mid-message: no byte for " +
+                               std::to_string(deadline_ms_) + " ms");
+      }
+      return polled;
+    }
     const size_t want = std::min(size - off, read_cap);
     const ssize_t n = recv(fd_, data + off, want, 0);
     if (n > 0) {
       off += static_cast<size_t>(n);
+      *started = true;
+      *deadline_at = DeadlineAt(deadline_ms_);
       continue;
     }
     if (n == 0) {
@@ -296,7 +306,12 @@ Status SocketChannel::Send(uint16_t op, const uint32_t* payload, size_t words) {
 
 Result<WireMessage> SocketChannel::Recv() {
   if (!valid()) return Status::FailedPrecondition("channel is closed");
-  const int64_t deadline_at = DeadlineAt(deadline_ms_);
+  // The deadline bounds the wait for the message's first byte. Once a byte
+  // has arrived, ReadAll restarts it on every byte instead, so a stream
+  // that keeps making progress is never cut off, and one that stalls for a
+  // whole deadline mid-message is torn (kIoError, never kTimeout).
+  int64_t deadline_at = DeadlineAt(deadline_ms_);
+  bool started = false;
   WireMessage msg;
   bool first_frame = true;
   while (true) {
@@ -319,8 +334,9 @@ Result<WireMessage> SocketChannel::Recv() {
 
     uint8_t header_bytes[FrameHeader::kWireBytes];
     bool clean_eof = false;
-    Status st = ReadAll(header_bytes, sizeof(header_bytes), deadline_at,
-                        read_cap, first_frame ? &clean_eof : nullptr);
+    Status st = ReadAll(header_bytes, sizeof(header_bytes), read_cap,
+                        &deadline_at, &started,
+                        first_frame ? &clean_eof : nullptr);
     if (!st.ok()) return st;
     uint64_t word = 0;
     std::memcpy(&word, header_bytes, sizeof(word));
@@ -346,8 +362,8 @@ Result<WireMessage> SocketChannel::Recv() {
     std::vector<uint32_t> payload(h.length);
     HARMONY_RETURN_NOT_OK(
         ReadAll(reinterpret_cast<uint8_t*>(payload.data()),
-                payload.size() * sizeof(uint32_t), deadline_at, read_cap,
-                nullptr));
+                payload.size() * sizeof(uint32_t), read_cap, &deadline_at,
+                &started, nullptr));
     uint32_t crc = Crc32(&payload[0], sizeof(uint32_t));
     if (h.length > 2) {
       crc = Crc32(payload.data() + 2, (h.length - 2) * sizeof(uint32_t), crc);

@@ -53,8 +53,10 @@ struct WireMessage {
 /// Status (bad marker, oversized length, CRC mismatch, out-of-sequence,
 /// tenant mismatch, truncation at any byte) — a corrupt, torn, or hostile
 /// stream can never crash or hang the process. All socket operations run
-/// under a per-operation deadline (poll + remaining-time accounting); a
-/// peer that stops responding yields kTimeout. An attached
+/// under a deadline (poll + remaining-time accounting): a send gets the
+/// whole budget, a receive gets it for the message's first byte and then
+/// again after every byte that arrives. A peer that sends nothing yields
+/// kTimeout; one that stalls mid-message yields kIoError. An attached
 /// SocketFaultInjector makes failures deterministic (seeded torn writes,
 /// short reads, stalls, resets keyed per frame counter).
 ///
@@ -82,7 +84,8 @@ class SocketChannel {
   uint64_t frames_sent() const { return frames_sent_; }
   uint64_t frames_received() const { return frames_received_; }
 
-  /// Per-operation deadline for Send/Recv (each call gets the full budget).
+  /// Deadline for Send/Recv: each Send gets the full budget; Recv gets it
+  /// for the first byte and again after each byte received.
   void set_deadline_millis(int64_t ms) { deadline_ms_ = ms; }
   int64_t deadline_millis() const { return deadline_ms_; }
 
@@ -98,7 +101,8 @@ class SocketChannel {
 
   /// Receives and reassembles one message. kUnavailable on a clean peer
   /// hangup at a frame boundary; kIoError on any mid-frame truncation or
-  /// corruption; kTimeout when the deadline expires.
+  /// corruption, or when the peer stalls a whole deadline mid-message;
+  /// kTimeout only when no byte of the message arrived within the deadline.
   Result<WireMessage> Recv();
 
   /// Words of message payload one frame can carry (header length cap minus
@@ -112,8 +116,11 @@ class SocketChannel {
   Status SendFrame(uint16_t op, bool fin, const uint32_t* chunk, size_t words,
                    int64_t deadline_at);
   Status WriteAll(const uint8_t* data, size_t size, int64_t deadline_at);
-  Status ReadAll(uint8_t* data, size_t size, int64_t deadline_at,
-                 size_t read_cap, bool* clean_eof);
+  /// Reads exactly `size` bytes, waiting at most until `*deadline_at` for
+  /// each. Every byte read sets `*started` and pushes `*deadline_at` one
+  /// deadline out; a wait that expires after `*started` is kIoError.
+  Status ReadAll(uint8_t* data, size_t size, size_t read_cap,
+                 int64_t* deadline_at, bool* started, bool* clean_eof);
 
   int fd_ = -1;
   uint16_t tenant_ = 0;

@@ -221,11 +221,4 @@ Result<UpdateLog> UpdateLog::Load(const std::string& path) {
   return DecodeFrom(buf.data(), buf.size());
 }
 
-Result<UpdateLog> UpdateLog::LoadOrEmpty(const std::string& path, size_t dim) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return UpdateLog(dim);
-  f.reset();
-  return Load(path);
-}
-
 }  // namespace harmony

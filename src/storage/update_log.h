@@ -92,12 +92,6 @@ class UpdateLog {
   Status Save(const std::string& path) const;
   static Result<UpdateLog> Load(const std::string& path);
 
-  /// Crash-restart recovery hook: Load(path) when the file exists, a fresh
-  /// empty log of `dim` when it does not (first boot — nothing to replay).
-  /// A present-but-corrupt file still fails loudly; silently starting
-  /// empty would drop acknowledged updates.
-  static Result<UpdateLog> LoadOrEmpty(const std::string& path, size_t dim);
-
  private:
   size_t dim_ = 0;
   UpdateLogMarker head_;

@@ -4,8 +4,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <string>
-#include <vector>
 
 namespace harmony {
 
@@ -42,27 +40,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = 1e300;
   double max_ = -1e300;
-};
-
-/// \brief Fixed-bucket latency histogram (log-scaled bounds in
-/// microseconds). Used by examples to report latency percentiles.
-class LatencyHistogram {
- public:
-  LatencyHistogram();
-
-  void AddMicros(double us);
-
-  /// Approximate percentile (0 < p < 100) in microseconds, computed by
-  /// linear interpolation inside the matching bucket.
-  double PercentileMicros(double p) const;
-
-  int64_t count() const { return total_; }
-  std::string ToString() const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
 };
 
 }  // namespace harmony

@@ -213,7 +213,21 @@ TEST(EngineTest, BuildFromIndexValidation) {
   }
 }
 
-TEST(EngineTest, AddVectorsIsSearchableIncrementally) {
+// Recall of `result` against the engine's own IVF index at full probe
+// (nprobe == nlist, so the oracle is exact over every indexed row).
+void ExpectMatchesIndexOracle(const HarmonyEngine& engine,
+                              const BatchResult& result,
+                              const DatasetView& queries, size_t k,
+                              size_t nprobe) {
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto oracle = engine.index().Search(queries.Row(q), k, nprobe);
+    ASSERT_TRUE(oracle.ok());
+    EXPECT_GE(RecallAtK(result.results[q], oracle.value(), k), 0.99)
+        << "query " << q;
+  }
+}
+
+TEST(EngineTest, InsertVectorsIsSearchableBeforeAndAfterMerge) {
   SmallWorld world = MakeSmallWorld(2000, 16, 4, 8, 10);
   HarmonyEngine engine(BaseOptions(Mode::kHarmonyDimension));
   // Build on the first half, insert the second half afterwards.
@@ -221,23 +235,29 @@ TEST(EngineTest, AddVectorsIsSearchableIncrementally) {
   const DatasetView full = world.mixture.vectors.View();
   const DatasetView first(full.data(), half, full.dim());
   const DatasetView second(full.Row(half), full.size() - half, full.dim());
+  const DatasetView queries = world.workload.queries.View();
   ASSERT_TRUE(engine.Build(first).ok());
-  ASSERT_TRUE(engine.AddVectors(second).ok());
-  EXPECT_EQ(engine.index().num_vectors(), 2000u);
+  ASSERT_TRUE(engine.InsertVectors(second).ok());
+  EXPECT_EQ(engine.IdSpan(), 2000u);
+  EXPECT_EQ(engine.pending_delta_rows(), 1000u);
 
-  // Full-probe search through the engine must agree with the (incrementally
-  // built) index oracle — proving the worker stores absorbed the inserts.
-  auto result = engine.SearchBatch(world.workload.queries.View(), 10, 8);
-  ASSERT_TRUE(result.ok());
-  for (size_t q = 0; q < 10; ++q) {
-    auto oracle = engine.index().Search(world.workload.queries.Row(q), 10, 8);
-    ASSERT_TRUE(oracle.ok());
-    EXPECT_GE(RecallAtK(result.value().results[q], oracle.value(), 10), 0.99)
-        << "query " << q;
-  }
+  // Buffered in the delta: searchable before the merge.
+  auto before = engine.SearchBatch(queries, 10, 8);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(engine.MergeUpdates().ok());
+  EXPECT_EQ(engine.index().num_vectors(), 2000u);
+  EXPECT_EQ(engine.pending_delta_rows(), 0u);
+  auto after = engine.SearchBatch(queries, 10, 8);
+  ASSERT_TRUE(after.ok());
+
+  // Full-probe search through the engine must agree with the merged index
+  // oracle on both sides of the merge — proving the delta epoch and the
+  // rebuilt worker stores both absorbed the inserts.
+  ExpectMatchesIndexOracle(engine, before.value(), queries, 10, 8);
+  ExpectMatchesIndexOracle(engine, after.value(), queries, 10, 8);
 }
 
-TEST(EngineTest, AddVectorsWithNormsMetric) {
+TEST(EngineTest, InsertVectorsWithNormsMetric) {
   SmallWorld world =
       MakeSmallWorld(1500, 16, 4, 8, 8, 0.0, 7, Metric::kInnerProduct);
   HarmonyOptions opts = BaseOptions(Mode::kHarmonyDimension);
@@ -246,29 +266,33 @@ TEST(EngineTest, AddVectorsWithNormsMetric) {
   const DatasetView full = world.mixture.vectors.View();
   const DatasetView first(full.data(), 1000, full.dim());
   const DatasetView second(full.Row(1000), full.size() - 1000, full.dim());
+  const DatasetView queries = world.workload.queries.View();
   ASSERT_TRUE(engine.Build(first).ok());
-  ASSERT_TRUE(engine.AddVectors(second).ok());
-  auto result = engine.SearchBatch(world.workload.queries.View(), 5, 8);
-  ASSERT_TRUE(result.ok());
-  for (size_t q = 0; q < 8; ++q) {
-    auto oracle = engine.index().Search(world.workload.queries.Row(q), 5, 8);
-    ASSERT_TRUE(oracle.ok());
-    EXPECT_GE(RecallAtK(result.value().results[q], oracle.value(), 5), 0.99);
-  }
+  ASSERT_TRUE(engine.InsertVectors(second).ok());
+  auto before = engine.SearchBatch(queries, 5, 8);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(engine.MergeUpdates().ok());
+  EXPECT_EQ(engine.index().num_vectors(), 1500u);
+  auto after = engine.SearchBatch(queries, 5, 8);
+  ASSERT_TRUE(after.ok());
+  ExpectMatchesIndexOracle(engine, before.value(), queries, 5, 8);
+  ExpectMatchesIndexOracle(engine, after.value(), queries, 5, 8);
 }
 
-TEST(EngineTest, AddVectorsValidation) {
+TEST(EngineTest, InsertVectorsValidation) {
   SmallWorld world = MakeSmallWorld(1000, 16, 4, 8, 5);
   HarmonyEngine unbuilt(BaseOptions(Mode::kHarmony));
-  EXPECT_EQ(unbuilt.AddVectors(world.mixture.vectors.View()).code(),
+  EXPECT_EQ(unbuilt.InsertVectors(world.mixture.vectors.View()).code(),
             StatusCode::kFailedPrecondition);
   HarmonyEngine engine(BaseOptions(Mode::kHarmony));
   ASSERT_TRUE(engine.Build(world.mixture.vectors.View()).ok());
   Dataset wrong_dim(3, 8);
-  EXPECT_EQ(engine.AddVectors(wrong_dim.View()).code(),
+  EXPECT_EQ(engine.InsertVectors(wrong_dim.View()).code(),
             StatusCode::kInvalidArgument);
   Dataset empty(0, 16);
-  EXPECT_TRUE(engine.AddVectors(empty.View()).ok());
+  EXPECT_TRUE(engine.InsertVectors(empty.View()).ok());
+  EXPECT_EQ(engine.IdSpan(), 1000u);
+  EXPECT_EQ(engine.update_log().pending(), 0u);
 }
 
 TEST(EngineTest, FilteredSearchHonorsLabels) {
@@ -329,7 +353,7 @@ TEST(EngineTest, FilteredSearchValidation) {
   ASSERT_TRUE(
       engine.SetLabels(std::vector<int32_t>(1000, 0)).ok());
   Dataset more(4, 16);
-  ASSERT_TRUE(engine.AddVectors(more.View()).ok());
+  ASSERT_TRUE(engine.InsertVectors(more.View()).ok());
   EXPECT_EQ(engine.SearchBatchFiltered(world.workload.queries.View(), 5, 2, 0)
                 .status()
                 .code(),

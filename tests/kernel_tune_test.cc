@@ -39,14 +39,27 @@ TEST(DefaultKernelTuneTest, ReproducesTheHistoricalHardCodedShapes) {
       EXPECT_EQ(portable.shapes[m][b].prefetch, 2u);
     }
   }
-  // The AVX2 tier's unshaped tables hard-code row-block 6 on IP (three
-  // accumulator pairs hide the FMA latency of the dot product) and 4 on L2.
+  // The AVX2 tier blocks IP by 6 rows (three accumulator pairs hide the FMA
+  // latency of the dot product) and L2 by 4.
   const KernelTuneTable avx2 = DefaultKernelTune(KernelTier::kAvx2);
   EXPECT_EQ(avx2.shapes[0][4].row_block, 4u);
   EXPECT_EQ(avx2.shapes[1][4].row_block, 6u);
   const KernelTuneTable avx512 = DefaultKernelTune(KernelTier::kAvx512);
   EXPECT_EQ(avx512.shapes[0][4].row_block, 8u);
   EXPECT_EQ(avx512.shapes[1][4].row_block, 8u);
+}
+
+TEST(DefaultKernelTuneTest, DefaultDispatchIsTheProcessTableAtItsDefaults) {
+  // Scans outside an execution context (IVF, k-means) run the process-wide
+  // table at its tier's default shape, never waiting on the autotuner.
+  const KernelTuneTable defaults = DefaultKernelTune(KernelTier::kAuto);
+  for (const Metric m : {Metric::kL2, Metric::kInnerProduct, Metric::kCosine}) {
+    for (const size_t w : {size_t{8}, size_t{24}, size_t{128}}) {
+      const KernelDispatch d = DefaultDispatch(m, w);
+      EXPECT_EQ(d.table, &ScanKernels());
+      EXPECT_TRUE(d.shape == defaults.shape(m, w));
+    }
+  }
 }
 
 TEST(KernelTuneProfileTest, ToStringParseRoundTripsExactly) {

@@ -37,36 +37,5 @@ TEST(RunningStatTest, ResetClears) {
   EXPECT_EQ(s.mean(), 0.0);
 }
 
-TEST(LatencyHistogramTest, CountsSamples) {
-  LatencyHistogram h;
-  for (int i = 0; i < 100; ++i) h.AddMicros(50.0);
-  EXPECT_EQ(h.count(), 100);
-}
-
-TEST(LatencyHistogramTest, PercentileOrdering) {
-  LatencyHistogram h;
-  for (int i = 1; i <= 1000; ++i) h.AddMicros(static_cast<double>(i));
-  const double p50 = h.PercentileMicros(50);
-  const double p95 = h.PercentileMicros(95);
-  const double p99 = h.PercentileMicros(99);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  // Log buckets are coarse; accept generous bounds.
-  EXPECT_GT(p50, 200.0);
-  EXPECT_LT(p50, 1000.0);
-  EXPECT_GT(p99, 600.0);
-}
-
-TEST(LatencyHistogramTest, EmptyPercentileIsZero) {
-  LatencyHistogram h;
-  EXPECT_EQ(h.PercentileMicros(99), 0.0);
-}
-
-TEST(LatencyHistogramTest, ToStringMentionsCount) {
-  LatencyHistogram h;
-  h.AddMicros(10);
-  EXPECT_NE(h.ToString().find("count=1"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace harmony

@@ -218,12 +218,6 @@ TEST(MutabilityTest, ApiGuards) {
   ASSERT_TRUE(engine.DeleteVectors({4}).ok());
   EXPECT_EQ(engine.tombstone_count(), 1u);
 
-  // The bulk pre-build AddVectors path refuses once the epoch store has
-  // pending mutations — it would reuse global ids.
-  const DatasetView row(world.mixture.vectors.Row(0), 1,
-                        world.mixture.vectors.dim());
-  EXPECT_EQ(engine.AddVectors(row).code(), StatusCode::kFailedPrecondition);
-
   // Wrong-dimension inserts are rejected before touching the log.
   const size_t pending_before = engine.update_log().pending();
   Dataset narrow(1, world.mixture.vectors.dim() / 2);

@@ -15,6 +15,7 @@
 #include "core/block_scan.h"
 #include "core/pruning.h"
 #include "index/distance.h"
+#include "index/kernel_tune.h"
 #include "storage/dataset.h"
 #include "storage/dim_slice.h"
 #include "util/rng.h"
@@ -35,6 +36,13 @@ std::vector<float> RandomVec(size_t n, uint64_t seed) {
   std::vector<float> v(n);
   for (float& x : v) x = static_cast<float>(rng.NextGaussian());
   return v;
+}
+
+// The default shape of `tier` for (metric, width): what the kernels run
+// with outside a tuned execution context.
+KernelShape DefaultShape(KernelTier tier, bool ip, size_t w) {
+  return DefaultKernelTune(tier).shape(ip ? Metric::kInnerProduct : Metric::kL2,
+                                       w);
 }
 
 // Width sweep covering every scalar-tail length, both sides of the AVX2
@@ -109,10 +117,11 @@ void CheckBatchMatchesRows(bool ip) {
         const float* r = rows.data() + i * w;
         expect[i] += ip ? kt.ip_row(q.data(), r, w) : kt.l2_row(q.data(), r, w);
       }
+      const KernelShape shape = DefaultShape(KernelTier::kAuto, ip, w);
       if (ip) {
-        kt.ip_batch(q.data(), rows.data(), n, w, accum.data());
+        kt.ip_batch(q.data(), rows.data(), n, w, accum.data(), shape);
       } else {
-        kt.l2_batch(q.data(), rows.data(), n, w, accum.data());
+        kt.l2_batch(q.data(), rows.data(), n, w, accum.data(), shape);
       }
       ASSERT_EQ(std::memcmp(accum.data(), expect.data(), n * sizeof(float)), 0)
           << (ip ? "ip" : "l2") << " width " << w << " count " << n;
@@ -138,7 +147,8 @@ TEST(ScanKernelTest, PortableBatchMatchesPortableRows) {
     for (size_t i = 0; i < 9; ++i) {
       expect[i] = portable::L2Row(q.data(), rows.data() + i * w, w);
     }
-    portable::L2Batch(q.data(), rows.data(), 9, w, accum.data());
+    portable::L2Batch(q.data(), rows.data(), 9, w, accum.data(),
+                      DefaultShape(KernelTier::kPortable, false, w));
     EXPECT_EQ(std::memcmp(accum.data(), expect.data(), 9 * sizeof(float)), 0);
   }
 }
@@ -157,7 +167,8 @@ TEST(ScanKernelTest, BatchHandlesUnalignedPointers) {
     for (size_t i = 0; i < n; ++i) {
       expect[i] = kt.l2_row(q, rows + i * w, w);
     }
-    kt.l2_batch(q, rows, n, w, accum.data());
+    kt.l2_batch(q, rows, n, w, accum.data(),
+                DefaultShape(KernelTier::kAuto, false, w));
     EXPECT_EQ(std::memcmp(accum.data(), expect.data(), n * sizeof(float)), 0)
         << "width " << w;
   }
@@ -207,18 +218,21 @@ TEST(ScanKernelTest, PruneMasksMatchScalarCanPrune) {
 
 // Group kernels (shared scans): one call over nq queries must equal nq
 // independent batch calls bit-for-bit, for every query count around the
-// kMaxQueryGroup tile boundary and for widths on both sides of the AVX2
+// default query-tile boundary and for widths on both sides of the AVX2
 // cutover. This is the identity that lets the engines toggle
 // ExecOptions::shared_scans without perturbing a single result bit.
 void CheckGroupMatchesBatches(bool ip, bool use_portable) {
   const ScanKernelTable& kt = ScanKernels();
+  const KernelTier tier = use_portable ? KernelTier::kPortable
+                                       : KernelTier::kAuto;
   auto batch = use_portable ? (ip ? portable::IpBatch : portable::L2Batch)
                             : (ip ? kt.ip_batch : kt.l2_batch);
   auto group = use_portable ? (ip ? portable::IpGroup : portable::L2Group)
                             : (ip ? kt.ip_group : kt.l2_group);
   const size_t counts[] = {1, 3, 4, 5, 17};
   for (const size_t w : Widths()) {
-    for (size_t nq = 1; nq <= kMaxQueryGroup + 2; ++nq) {
+    const KernelShape shape = DefaultShape(tier, ip, w);
+    for (size_t nq = 1; nq <= shape.query_tile + size_t{2}; ++nq) {
       for (const size_t count : counts) {
         std::vector<std::vector<float>> qs;
         std::vector<const float*> q_ptrs;
@@ -240,9 +254,10 @@ void CheckGroupMatchesBatches(bool ip, bool use_portable) {
         std::vector<float*> accum_ptrs;
         for (size_t g = 0; g < nq; ++g) accum_ptrs.push_back(got[g].data());
         for (size_t g = 0; g < nq; ++g) {
-          batch(q_ptrs[g], rows.data(), count, w, expect[g].data());
+          batch(q_ptrs[g], rows.data(), count, w, expect[g].data(), shape);
         }
-        group(q_ptrs.data(), nq, rows.data(), count, w, accum_ptrs.data());
+        group(q_ptrs.data(), nq, rows.data(), count, w, accum_ptrs.data(),
+              shape);
         for (size_t g = 0; g < nq; ++g) {
           EXPECT_EQ(std::memcmp(got[g].data(), expect[g].data(),
                                 count * sizeof(float)),
@@ -268,13 +283,13 @@ TEST(ScanKernelTest, PortableGroupMatchesPortableBatches) {
   CheckGroupMatchesBatches(/*ip=*/true, /*use_portable=*/true);
 }
 
-// --- Shaped kernels: every tuner-reachable shape is bit-transparent. -----
+// --- Every tuner-reachable shape is bit-transparent. --------------------
 
 // The autotuner's whole license to pick shapes freely (kernel_tune.h) is
 // that row_block / query_tile / prefetch only reorder *which* frozen
 // per-row chains run concurrently, never the chains themselves. Verify:
-// for every shape in the candidate grid, the shaped entries reproduce the
-// unshaped row/batch results bit-for-bit on the resolved table.
+// for every shape in the candidate grid, the batch and group kernels
+// reproduce the row-kernel results bit-for-bit on the resolved table.
 TEST(ScanKernelTest, ShapedBatchBitIdenticalForAllShapes) {
   const ScanKernelTable& kt = ScanKernels();
   const size_t counts[] = {1, 3, 4, 5, 7, 8, 9, 17, 64};
@@ -291,13 +306,13 @@ TEST(ScanKernelTest, ShapedBatchBitIdenticalForAllShapes) {
         for (const uint8_t pf : {uint8_t{0}, uint8_t{4}, uint8_t{8}}) {
           const KernelShape shape{rb, 4, pf};
           std::vector<float> accum(n, 0.0f);
-          kt.l2_batch_shaped(q.data(), rows.data(), n, w, accum.data(), shape);
+          kt.l2_batch(q.data(), rows.data(), n, w, accum.data(), shape);
           ASSERT_EQ(
               std::memcmp(accum.data(), expect.data(), n * sizeof(float)), 0)
               << "l2 w=" << w << " n=" << n << " rb=" << int(rb)
               << " pf=" << int(pf);
           std::fill(accum.begin(), accum.end(), 0.0f);
-          kt.ip_batch_shaped(q.data(), rows.data(), n, w, accum.data(), shape);
+          kt.ip_batch(q.data(), rows.data(), n, w, accum.data(), shape);
           ASSERT_EQ(
               std::memcmp(accum.data(), expect_ip.data(), n * sizeof(float)),
               0)
@@ -334,8 +349,8 @@ TEST(ScanKernelTest, ShapedGroupBitIdenticalForAllShapes) {
               nq, std::vector<float>(count, 0.0f));
           std::vector<float*> accums;
           for (size_t g = 0; g < nq; ++g) accums.push_back(got[g].data());
-          kt.l2_group_shaped(q_ptrs.data(), nq, rows.data(), count, w,
-                             accums.data(), KernelShape{4, qt, pf});
+          kt.l2_group(q_ptrs.data(), nq, rows.data(), count, w,
+                      accums.data(), KernelShape{4, qt, pf});
           for (size_t g = 0; g < nq; ++g) {
             ASSERT_EQ(std::memcmp(got[g].data(), expect[g].data(),
                                   count * sizeof(float)),
@@ -394,19 +409,24 @@ TEST_F(Avx512ParityTest, BatchKernelsMatchAvx2Bitwise) {
       const auto rows = RandomVec(n * w, 37 * w + n);
       auto a5 = RandomVec(n, 41 * w + n);
       std::vector<float> a2(a5);
-      avx512::L2Batch(q.data(), rows.data(), n, w, a5.data());
-      avx2::L2Batch(q.data(), rows.data(), n, w, a2.data());
+      // Each tier at its own default shape.
+      avx512::L2Batch(q.data(), rows.data(), n, w, a5.data(),
+                      DefaultShape(KernelTier::kAvx512, false, w));
+      avx2::L2Batch(q.data(), rows.data(), n, w, a2.data(),
+                    DefaultShape(KernelTier::kAvx2, false, w));
       ASSERT_EQ(std::memcmp(a5.data(), a2.data(), n * sizeof(float)), 0)
           << "l2 width " << w << " count " << n;
-      avx512::IpBatch(q.data(), rows.data(), n, w, a5.data());
-      avx2::IpBatch(q.data(), rows.data(), n, w, a2.data());
+      avx512::IpBatch(q.data(), rows.data(), n, w, a5.data(),
+                      DefaultShape(KernelTier::kAvx512, true, w));
+      avx2::IpBatch(q.data(), rows.data(), n, w, a2.data(),
+                    DefaultShape(KernelTier::kAvx2, true, w));
       ASSERT_EQ(std::memcmp(a5.data(), a2.data(), n * sizeof(float)), 0)
           << "ip width " << w << " count " << n;
       // Shaped entries across the tuner grid agree too.
       for (const uint8_t rb : {uint8_t{4}, uint8_t{6}, uint8_t{8}}) {
         const KernelShape shape{rb, 4, 2};
-        avx512::L2BatchShaped(q.data(), rows.data(), n, w, a5.data(), shape);
-        avx2::L2BatchShaped(q.data(), rows.data(), n, w, a2.data(), shape);
+        avx512::L2Batch(q.data(), rows.data(), n, w, a5.data(), shape);
+        avx2::L2Batch(q.data(), rows.data(), n, w, a2.data(), shape);
         ASSERT_EQ(std::memcmp(a5.data(), a2.data(), n * sizeof(float)), 0)
             << "shaped l2 width " << w << " count " << n << " rb=" << int(rb);
       }
@@ -434,8 +454,10 @@ TEST_F(Avx512ParityTest, GroupKernelsMatchAvx2Bitwise) {
           p5.push_back(g5[g].data());
           p2.push_back(g2[g].data());
         }
-        avx512::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p5.data());
-        avx2::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p2.data());
+        avx512::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p5.data(),
+                        DefaultShape(KernelTier::kAvx512, true, w));
+        avx2::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p2.data(),
+                      DefaultShape(KernelTier::kAvx2, true, w));
         for (size_t g = 0; g < nq; ++g) {
           ASSERT_EQ(std::memcmp(g5[g].data(), g2[g].data(),
                                 count * sizeof(float)),
@@ -562,6 +584,7 @@ void CheckScanBlockParity(Metric metric, bool prune, bool use_norms) {
   p.q_slice = blk.query.data() + blk.range.begin;
   p.width = blk.range.width();
   p.slices = blk.slices.data();
+  p.dispatch = DefaultDispatch(metric, p.width);
 
   // Pick tau at the median prune bound so roughly half the candidates drop.
   if (prune) {

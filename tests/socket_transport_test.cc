@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -199,6 +200,58 @@ std::vector<uint8_t> EncodeRawFrame(uint16_t tenant, uint16_t seq, uint16_t op,
   std::vector<uint8_t> bytes;
   AppendFrameBytes(h, payload.data(), &bytes);
   return bytes;
+}
+
+// The receive deadline bounds the wait for a message's first byte and then
+// each wait for the next byte — never the whole message. A three-frame
+// message written in halves with a stall before each half takes longer
+// than the deadline in total, yet every single stall is shorter than it:
+// the message must arrive intact, not time out half-read.
+TEST(SocketChannelTest, SlowMultiFrameMessageOutlastingTheDeadlineArrives) {
+  RawPair pair = MakeRawPair();
+  constexpr int64_t kDeadlineMs = 400;
+  constexpr auto kStall = std::chrono::milliseconds(120);
+  pair.server.set_deadline_millis(kDeadlineMs);
+  std::vector<uint32_t> expect;
+  std::vector<std::vector<uint8_t>> frames;
+  for (uint16_t seq = 0; seq < 3; ++seq) {
+    const std::vector<uint32_t> chunk = MakePayload(64, seq);
+    expect.insert(expect.end(), chunk.begin(), chunk.end());
+    frames.push_back(EncodeRawFrame(9, seq, 21, /*fin=*/seq == 2, chunk));
+  }
+  Result<WireMessage> msg = Status::Internal("not received");
+  std::thread receiver([&pair, &msg] { msg = pair.server.Recv(); });
+  const auto start = std::chrono::steady_clock::now();
+  for (const std::vector<uint8_t>& frame : frames) {
+    const size_t half = frame.size() / 2;
+    std::this_thread::sleep_for(kStall);
+    RawWrite(pair.raw_fd, frame.data(), half);
+    std::this_thread::sleep_for(kStall);
+    RawWrite(pair.raw_fd, frame.data() + half, frame.size() - half);
+  }
+  receiver.join();
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+  EXPECT_GT(elapsed, kDeadlineMs);
+  ASSERT_TRUE(msg.ok()) << msg.status();
+  EXPECT_EQ(msg.value().op, 21);
+  EXPECT_EQ(msg.value().payload, expect);
+  EXPECT_EQ(pair.server.frames_received(), 3u);
+}
+
+// Once a message has started, a sender that stops mid-frame (connection
+// still open) tears the stream: kIoError, never the idle kTimeout that
+// would let the next Recv parse payload bytes as a frame header.
+TEST(SocketChannelTest, SenderStoppingMidFrameIsIoError) {
+  RawPair pair = MakeRawPair();
+  pair.server.set_deadline_millis(100);
+  const std::vector<uint8_t> bytes =
+      EncodeRawFrame(9, 0, 21, /*fin=*/true, MakePayload(16));
+  RawWrite(pair.raw_fd, bytes.data(), bytes.size() / 2);
+  auto msg = pair.server.Recv();
+  ASSERT_FALSE(msg.ok());
+  EXPECT_EQ(msg.status().code(), StatusCode::kIoError) << msg.status();
 }
 
 TEST(SocketChannelDecodeTest, WellFormedRawFrameIsAccepted) {
