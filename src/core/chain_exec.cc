@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <numeric>
 
 #include "index/pq.h"
@@ -441,20 +443,49 @@ size_t HopReplica(const ChainExecState& task, size_t d) {
 
 }  // namespace
 
-std::shared_ptr<ChainExecState> ChainExecutor::PrepareChain(
+std::shared_ptr<ChainExecState> ChainExecutor::AllocateChain(
     const QueryChain& chain) const {
   auto task = std::make_shared<ChainExecState>();
   task->chain = &chain;
   BuildChainSliceTable(ctx_, chain, &task->cand);
+  ReserveChainCandidateArrays(ctx_, chain, &task->cand);
+  return task;
+}
+
+void ChainExecutor::FillChain(ChainExecState* task) const {
+  const QueryChain& chain = *task->chain;
   const auto* prewarmed =
       backend_->PrewarmedIds(static_cast<size_t>(chain.query));
   BuildChainCandidateArrays(ctx_, chain, *prewarmed, &task->cand);
-  if (task->cand.id.empty()) return nullptr;
-  if (ctx_.use_norms) {
+  if (ctx_.use_norms && !task->cand.id.empty()) {
     ComputeQueryBlockNorms(ctx_, chain, &task->cand);
     task->rem_q_sq = task->cand.rem_q_total;
   }
-  return task;
+}
+
+void ChainExecutor::FillChains(
+    const std::vector<std::shared_ptr<ChainExecState>>& tasks) const {
+  const size_t parts = std::min(ctx_.plan->num_machines, tasks.size());
+  const auto fill_part = [this, &tasks, parts](size_t part) {
+    for (size_t i = part; i < tasks.size(); i += parts) {
+      FillChain(tasks[i].get());
+    }
+  };
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t posted_left = parts > 1 ? parts - 1 : 0;
+  for (size_t part = 1; part < parts; ++part) {
+    backend_->PostStage(part, [&, part] {
+      fill_part(part);
+      // Notify under the lock: the waiter cannot return (and destroy the
+      // latch) before this task has left it.
+      std::lock_guard<std::mutex> lock(mu);
+      if (--posted_left == 0) cv.notify_all();
+    });
+  }
+  if (parts > 0) fill_part(0);
+  std::unique_lock<std::mutex> lock(mu);
+  cv.wait(lock, [&] { return posted_left == 0; });
 }
 
 bool ChainExecutor::ApplyGroupMemberLoss(ChainExecState* task) const {

@@ -53,7 +53,8 @@ class ExecBackend {
   /// access on the single-threaded simulator).
   virtual void ReadThreshold(int32_t query, float* tau, bool* heap_full) = 0;
   /// The ids prewarm already scored for `query` (candidate builds skip
-  /// them). Stable for the whole batch: prewarm runs before any dispatch.
+  /// them). Stable for the whole batch: prewarm runs before any dispatch,
+  /// so the candidate fill may read it from any thread.
   virtual const std::unordered_set<int64_t>* PrewarmedIds(size_t query) = 0;
   /// Runs `fn` with exclusive access to `query`'s result heap (merges).
   virtual void WithQueryHeap(int32_t query,
@@ -334,9 +335,10 @@ class SharedScanBiller {
 // --- The chain/group lifecycle state machine (push-driven engines).
 
 /// One chain's baton, passed machine-to-machine along its dimension stages.
-/// The candidate set is built before dispatch (the client holds the routing
-/// tables and can read every store in-process), so a chain whose first hop
-/// is lost never half-executes.
+/// The candidate set is built before dispatch (allocated by the client,
+/// which holds the routing tables, and filled on the node pools from the
+/// in-process stores), so a chain whose first hop is lost never
+/// half-executes.
 struct ChainExecState {
   const QueryChain* chain = nullptr;
   std::vector<size_t> order;  ///< Surviving dimension blocks, pipeline order.
@@ -398,11 +400,23 @@ class ChainExecutor {
     on_chain_done_ = std::move(fn);
   }
 
-  /// Builds the chain's slice table, candidate arrays and (for IP with
-  /// multiple blocks) norm columns. Returns null when the chain has nothing
-  /// to scan (no posts needed). Shared by the solo and group dispatch paths
-  /// so both modes scan exactly the same candidates.
-  std::shared_ptr<ChainExecState> PrepareChain(const QueryChain& chain) const;
+  /// First half of chain preparation, on the client: the chain's state and
+  /// slice table, with every candidate column reserved to the row total of
+  /// its block-0 slices — node threads are short-lived and each keeps a
+  /// malloc arena, so no candidate-sized buffer is allocated on one.
+  std::shared_ptr<ChainExecState> AllocateChain(const QueryChain& chain) const;
+
+  /// Second half: fills the candidate arrays and (for IP with multiple
+  /// blocks) norm columns of every task — a pure function of (context,
+  /// chain, prewarmed ids) — in min(num_machines, tasks) interleaved parts.
+  /// Part p > 0 runs on machine p via PostStage, part 0 on the caller, and
+  /// the call returns once every part has finished; a substrate whose
+  /// PostStage runs inline (sockets) fills serially through the same code.
+  /// A task left with no candidate has nothing to scan (no posts needed).
+  /// Shared by the solo and group dispatch paths so both modes scan exactly
+  /// the same candidates.
+  void FillChains(
+      const std::vector<std::shared_ptr<ChainExecState>>& tasks) const;
 
   /// Group-mode static loss: books the chain's lost blocks and sets its
   /// skip mask. Returns true when the chain is unreachable (every block
@@ -442,6 +456,7 @@ class ChainExecutor {
   /// Bills a stage scan's bytes to `machine`: compressed code-stream bytes
   /// under PQ streams, float row bytes otherwise.
   void ChargeScanBytes(size_t machine, uint64_t bytes);
+  void FillChain(ChainExecState* task) const;
   void RunSoloStage(std::shared_ptr<ChainExecState> task);
   void RunGroupStage(std::shared_ptr<GroupExecState> group);
   void MergeChainResults(const ChainExecState& task);

@@ -256,17 +256,25 @@ Result<ThreadedOutput> RunChainBatch(
       return Status::Timeout("batch exceeded max_wall_seconds");
     }
 
-    // Prepare the rank's chains on the client: candidate build, block
-    // order / group assembly, and the (static, pure-function-of-the-plan)
-    // loss schedule — all shared lifecycle code in core/chain_exec.cc.
+    // Prepare the rank's chains: the client allocates every chain's state,
+    // the node pools fill the candidate arrays, then the client walks the
+    // chains in order — empty-chain skip, block order / group assembly,
+    // and the (static, pure-function-of-the-plan) loss schedule — all
+    // shared lifecycle code in core/chain_exec.cc.
+    std::vector<std::shared_ptr<ChainExecState>> prepared;
+    prepared.reserve(end - begin);
+    for (size_t c = begin; c < end; ++c) {
+      prepared.push_back(executor.AllocateChain(routing.chains[c]));
+    }
+    executor.FillChains(prepared);
     std::vector<std::shared_ptr<ChainExecState>> dispatch;
     std::vector<std::shared_ptr<GroupExecState>> group_dispatch;
     std::unordered_map<int32_t, size_t> group_slot;  // group id -> index
     dispatch.reserve(end - begin);
     for (size_t c = begin; c < end; ++c, ++chain_index) {
       const QueryChain& chain = routing.chains[c];
-      std::shared_ptr<ChainExecState> task = executor.PrepareChain(chain);
-      if (task == nullptr) {
+      std::shared_ptr<ChainExecState> task = std::move(prepared[c - begin]);
+      if (task->cand.id.empty()) {
         // Nothing to scan; no posts needed.
         note_chain_done(chain.query);
         continue;

@@ -102,8 +102,13 @@ class ChainBatchBackend : public ExecBackend {
 /// by rank through ChainExecutor — solo batons, or query-group batons when
 /// `allow_groups` and the routing carries shared-scan groups — waits for the
 /// rank, folds node health at the barrier, and assembles the output from
-/// the ledger snapshot and the per-query state. Honors max_wall_seconds
-/// (fail or salvage) between and within ranks.
+/// the ledger snapshot and the per-query state. Each rank's chains are
+/// prepared in two steps: the client allocates their states (slice tables,
+/// reserved candidate columns), the node pools fill the candidate arrays
+/// (inline on sockets, whose posts run on the caller), and the client then
+/// walks the chains in order for everything order-sensitive — skips, group
+/// assembly, loss schedules, ledger bookings and first-hop posts. Honors
+/// max_wall_seconds (fail or salvage) between and within ranks.
 Result<ThreadedOutput> RunChainBatch(
     const IvfIndex& index, const PartitionPlan& plan,
     const std::vector<WorkerStore>& stores, const PrewarmCache& prewarm,

@@ -257,16 +257,57 @@ void BuildChainSliceTable(const ExecContext& ctx, const QueryChain& chain,
   }
 }
 
+namespace {
+
+/// Rows of the chain's block-0 slices: the candidate count before the
+/// prewarm and label filters drop any.
+size_t ChainSliceRows(const QueryChain& chain, const ChainCandidates& cand) {
+  size_t rows = 0;
+  for (size_t li = 0; li < chain.lists.size(); ++li) {
+    const ListSlice* ls = cand.slices[li];  // block 0 slices
+    if (ls != nullptr) rows += ls->slice.num_rows();
+  }
+  return rows;
+}
+
+}  // namespace
+
+void ReserveChainCandidateArrays(const ExecContext& ctx,
+                                 const QueryChain& chain,
+                                 ChainCandidates* cand) {
+  const size_t rows = ChainSliceRows(chain, *cand);
+  cand->id.reserve(rows);
+  cand->list.reserve(rows);
+  cand->row.reserve(rows);
+  cand->partial.reserve(rows);
+  if (ctx.use_norms) {
+    cand->rem_p_sq.reserve(rows);
+    cand->q_block_norm.reserve(ctx.b_dim);
+  }
+  if (ctx.use_pq) cand->bound.reserve(rows);
+}
+
 void BuildChainCandidateArrays(const ExecContext& ctx, const QueryChain& chain,
                                const std::unordered_set<int64_t>& prewarmed,
                                ChainCandidates* cand) {
   const ExecOptions& opts = *ctx.opts;
+  // The prewarmed set holds at most nprobe x the per-list sample, so
+  // bisecting a sorted copy costs each row less than a hash probe.
+  std::vector<int64_t> skip(prewarmed.begin(), prewarmed.end());
+  std::sort(skip.begin(), skip.end());
+  // Sized once to the unfiltered row total, then trimmed to the rows kept.
+  const size_t rows = ChainSliceRows(chain, *cand);
+  cand->id.resize(rows);
+  cand->list.resize(rows);
+  cand->row.resize(rows);
+  if (ctx.use_norms) cand->rem_p_sq.resize(rows);
+  size_t n = 0;
   for (size_t li = 0; li < chain.lists.size(); ++li) {
     const ListSlice* ls = cand->slices[li];  // block 0 slices
     if (ls == nullptr) continue;
     for (size_t r = 0; r < ls->slice.num_rows(); ++r) {
       const int64_t gid = ls->slice.GlobalId(r);
-      if (prewarmed.count(gid) > 0) continue;
+      if (std::binary_search(skip.begin(), skip.end(), gid)) continue;
       // Rows inserted after the label column was set have no label and can
       // never match the predicate.
       if (opts.labels != nullptr &&
@@ -274,14 +315,19 @@ void BuildChainCandidateArrays(const ExecContext& ctx, const QueryChain& chain,
            (*opts.labels)[static_cast<size_t>(gid)] != opts.allowed_label)) {
         continue;
       }
-      cand->id.push_back(gid);
-      cand->list.push_back(static_cast<int32_t>(li));
-      cand->row.push_back(static_cast<int32_t>(r));
-      cand->partial.push_back(0.0f);
-      if (ctx.use_norms) cand->rem_p_sq.push_back(ls->total_norm_sq[r]);
-      if (ctx.use_pq) cand->bound.push_back(0.0f);
+      cand->id[n] = gid;
+      cand->list[n] = static_cast<int32_t>(li);
+      cand->row[n] = static_cast<int32_t>(r);
+      if (ctx.use_norms) cand->rem_p_sq[n] = ls->total_norm_sq[r];
+      ++n;
     }
   }
+  cand->id.resize(n);
+  cand->list.resize(n);
+  cand->row.resize(n);
+  cand->partial.assign(n, 0.0f);
+  if (ctx.use_norms) cand->rem_p_sq.resize(n);
+  if (ctx.use_pq) cand->bound.assign(n, 0.0f);
 }
 
 void ComputeQueryBlockNorms(const ExecContext& ctx, const QueryChain& chain,

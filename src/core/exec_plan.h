@@ -209,12 +209,22 @@ struct ChainCandidates {
 void BuildChainSliceTable(const ExecContext& ctx, const QueryChain& chain,
                           ChainCandidates* cand);
 
-/// Builds the candidate SoA arrays from the (dimension-independent) row
-/// layout of the chain's list slices — block 0's slices are as good as any —
-/// in probe order (nearest list first) so the earliest batches tighten the
-/// threshold for the rest of the chain. Skips ids already scored during
-/// prewarm and, under a label filter, ids with the wrong label. Requires
-/// BuildChainSliceTable to have run.
+/// Reserves every candidate column the chain uses to the row total of its
+/// block-0 slices (and q_block_norm to b_dim under use_norms), so the
+/// BuildChainCandidateArrays / ComputeQueryBlockNorms that follow allocate
+/// nothing. Requires BuildChainSliceTable to have run.
+void ReserveChainCandidateArrays(const ExecContext& ctx,
+                                 const QueryChain& chain,
+                                 ChainCandidates* cand);
+
+/// Builds (replaces) the candidate SoA arrays from the
+/// (dimension-independent) row layout of the chain's list slices — block
+/// 0's slices are as good as any — in probe order (nearest list first) so
+/// the earliest batches tighten the threshold for the rest of the chain.
+/// Skips ids already scored during prewarm and, under a label filter, ids
+/// with the wrong label. Each column is sized once to the unfiltered row
+/// total and trimmed to the rows kept. Requires BuildChainSliceTable to
+/// have run.
 void BuildChainCandidateArrays(const ExecContext& ctx, const QueryChain& chain,
                                const std::unordered_set<int64_t>& prewarmed,
                                ChainCandidates* cand);

@@ -299,8 +299,7 @@ Result<PipelineOutput> ExecuteSimulated(const IvfIndex& index,
         // hop's replica even on a healthy replicated run); book only under
         // faults. Chains with nothing to scan skip the schedule entirely so
         // the health tracker sees exactly the chains the threaded engine
-        // feeds it (PrepareChain returns null for those before its schedule
-        // runs).
+        // feeds it (RunChainBatch skips those before their schedule runs).
         run.loss = ComputeChainSchedule(ctx, chain);
         if (faulty) {
           ledger.BookStaticChainLoss(run.loss, chain.query, max_retries);

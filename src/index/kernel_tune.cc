@@ -81,10 +81,13 @@ void WarmUpVectorUnits(const Fn& fn, double target_ns = 2e6) {
   } while (NowNs() - t0 < target_ns);
 }
 
-/// kAuto tier pick: when both SIMD tiers are live, time their batch kernels
-/// head-to-head once, each at its default shape (any outcome is
-/// bit-identical, so noise here is harmless); prefer the wider tier on ties.
+/// kAuto tier pick: a HARMONY_KERNEL_TIER pin decides outright. Otherwise,
+/// when both SIMD tiers are live, time their batch kernels head-to-head
+/// once, each at its default shape (any outcome is bit-identical, so noise
+/// here is harmless); prefer the wider tier on ties.
 KernelTier PickAutoTier() {
+  const KernelTier pinned = PinnedKernelTier();
+  if (pinned != KernelTier::kAuto) return pinned;
   const bool has512 = KernelTierAvailable(KernelTier::kAvx512);
   const bool has2 = KernelTierAvailable(KernelTier::kAvx2);
   if (!has512) return has2 ? KernelTier::kAvx2 : KernelTier::kPortable;

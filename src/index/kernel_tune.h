@@ -84,12 +84,13 @@ KernelTuneTable DefaultKernelTune(KernelTier tier);
 /// scan and k-means.
 KernelDispatch DefaultDispatch(Metric m, size_t width);
 
-/// Runs the micro-autotuner for `tier` (resolved first; kAuto picks the
-/// best available): times the candidate shapes — row-block 4/6/8 x
-/// prefetch 0/2/4/8 on the batch kernels, query-tile 2/4/8 on the group
-/// kernels — per (metric, width bucket) on synthetic rows and keeps the
-/// fastest, with a fixed candidate order and strict-improvement ties so the
-/// pick is deterministic given the timings. A few milliseconds of work.
+/// Runs the micro-autotuner for `tier` (resolved first; kAuto takes the
+/// HARMONY_KERNEL_TIER pin when set, else picks the best available): times
+/// the candidate shapes — row-block 4/6/8 x prefetch 0/2/4/8 on the batch
+/// kernels, query-tile 2/4/8 on the group kernels — per (metric, width
+/// bucket) on synthetic rows and keeps the fastest, with a fixed candidate
+/// order and strict-improvement ties so the pick is deterministic given the
+/// timings. A few milliseconds of work.
 KernelTuneTable MeasureKernelTune(KernelTier tier);
 
 /// The process-wide tune table for `requested` (resolved), measured once on

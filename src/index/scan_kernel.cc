@@ -198,10 +198,9 @@ KernelTier BestAvailableTier() {
   return KernelTier::kPortable;
 }
 
-/// HARMONY_KERNEL_TIER, parsed once: the process-wide pin CI legs use to
-/// run a whole test binary on one tier. Unset/unparsable/unavailable ->
-/// kAuto (the CPU pick).
-KernelTier EnvTier() {
+}  // namespace
+
+KernelTier PinnedKernelTier() {
   static const KernelTier tier = [] {
     const char* env = std::getenv("HARMONY_KERNEL_TIER");
     KernelTier t = KernelTier::kAuto;
@@ -212,8 +211,6 @@ KernelTier EnvTier() {
   }();
   return tier;
 }
-
-}  // namespace
 
 const char* KernelTierName(KernelTier tier) {
   switch (tier) {
@@ -259,7 +256,7 @@ bool KernelTierAvailable(KernelTier tier) {
 
 KernelTier ResolveKernelTier(KernelTier requested) {
   if (requested == KernelTier::kAuto) {
-    const KernelTier pinned = EnvTier();
+    const KernelTier pinned = PinnedKernelTier();
     return pinned == KernelTier::kAuto ? BestAvailableTier() : pinned;
   }
   return KernelTierAvailable(requested) ? requested : BestAvailableTier();

@@ -26,6 +26,11 @@ bool ParseKernelTier(std::string_view name, KernelTier* out);
 /// it. kAuto and kPortable are always available.
 bool KernelTierAvailable(KernelTier tier);
 
+/// HARMONY_KERNEL_TIER, parsed once: the process-wide pin CI legs use to
+/// run a whole test binary on one tier — the kernel table and the engine's
+/// tune table alike. kAuto when unset, unparsable or unavailable.
+KernelTier PinnedKernelTier();
+
 /// Maps a requested tier to the one dispatch will actually use: kAuto picks
 /// the widest available tier (the HARMONY_KERNEL_TIER environment variable,
 /// read once, overrides the pick — the CI lever for running a whole process

@@ -23,15 +23,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cinttypes>
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "core/coordinator.h"
 #include "core/engine.h"
 #include "core/pipeline.h"
 #include "core/router.h"
+#include "index/kernel_tune.h"
 #include "index/pq.h"
 #include "net/fault.h"
 #include "test_util.h"
@@ -110,6 +113,9 @@ struct MatrixCase {
   /// rank barrier holds only exact float distances. The setup must have
   /// been built with_pq.
   bool use_pq = false;
+  /// Wall budget of the threaded batch (0 = none); a batch that overruns it
+  /// fails the case with a Timeout status.
+  double max_wall_seconds = 0.0;
 };
 
 void ExpectEnginesAgree(const SmallWorld& world, const RunSetup& setup,
@@ -157,6 +163,7 @@ void ExpectEnginesAgree(const SmallWorld& world, const RunSetup& setup,
     plan.delay_multiplier = {3.0};
   }
   opts.faults = plan;  // the threaded engine reads the plan from opts
+  opts.max_wall_seconds = mc.max_wall_seconds;
 
   SimCluster cluster(machines);
   if (plan.enabled()) cluster.SetFaultPlan(plan);
@@ -170,6 +177,14 @@ void ExpectEnginesAgree(const SmallWorld& world, const RunSetup& setup,
   ASSERT_TRUE(thr.ok()) << thr.status();
 
   ExpectBitIdenticalResults(sim.value().results, thr.value().results);
+  // Every query's completion was stamped: each chain, executed or skipped
+  // on the client, was accounted for.
+  EXPECT_FALSE(thr.value().timed_out);
+  ASSERT_EQ(thr.value().query_seconds.size(),
+            world.workload.queries.size());
+  for (const double seconds : thr.value().query_seconds) {
+    EXPECT_GE(seconds, 0.0);
+  }
   EXPECT_EQ(sim.value().degraded, thr.value().degraded);
   EXPECT_EQ(sim.value().faults.degraded_queries,
             thr.value().faults.degraded_queries);
@@ -230,6 +245,134 @@ TEST(ExecParityTest, OptionMatrixSweep) {
       }
     }
   }
+}
+
+// Chains the candidate fill leaves empty: every candidate already scored by
+// prewarm (a cache holding whole lists), or no row admitted by the label
+// filter. Every chain of the batch is then skipped on the client after the
+// fill; the engines must still agree bitwise, stamp every query's
+// completion and finish inside the wall budget, grouped and solo, on one
+// and two threads per node.
+TEST(ExecParityTest, EmptiedChainsSweep) {
+  const SmallWorld world = MakeSmallWorld(2500, 32, 8, 8, 25);
+  const size_t machines = 4;
+  size_t largest_list = 0;
+  for (size_t l = 0; l < world.index.nlist(); ++l) {
+    largest_list = std::max(largest_list, world.index.ListIds(l).size());
+  }
+  // The matrix admits label 1 when filtered; no row carries it.
+  const std::vector<int32_t> no_match(world.index.num_vectors(), 0);
+  for (const bool grouping : {false, true}) {
+    RunSetup setup = MakeSetup(world, machines, 2, 2, 4, grouping ? 4 : 1);
+    RunSetup prewarm_all =
+        MakeSetup(world, machines, 2, 2, 4, grouping ? 4 : 1);
+    prewarm_all.prewarm = PrewarmCache::Build(world.index, largest_list);
+    for (const size_t tpn : {size_t{1}, size_t{2}}) {
+      for (const bool filtered : {false, true}) {
+        MatrixCase mc{FaultMode::kNone, grouping, tpn, filtered,
+                      /*pruning=*/true};
+        mc.max_wall_seconds = 60.0;
+        ExpectEnginesAgree(world, filtered ? setup : prewarm_all, machines,
+                           no_match, mc);
+      }
+    }
+  }
+}
+
+// Candidate membership, checked directly: both engines build their arrays
+// through BuildChainCandidateArrays, so the parity sweeps cannot catch a
+// wrong prewarm or label check. For every chain of a batch — with a
+// prewarmed set mixing ids of the chain's own lists, ids of other lists and
+// ids no store holds, with and without a label filter — the arrays must
+// equal, in order, a naive walk over the chain's block-0 slices, and must
+// fill the columns ReserveChainCandidateArrays reserved without moving
+// them.
+TEST(ExecParityTest, CandidateArraysMatchNaiveSliceWalk) {
+  const SmallWorld world = MakeSmallWorld(2500, 32, 8, 8, 25);
+  std::vector<int32_t> labels(world.index.num_vectors());
+  for (size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = static_cast<int32_t>(i % 3);
+  }
+  const int64_t past_store = static_cast<int64_t>(world.index.num_vectors());
+  size_t skipped_in_chain = 0;
+  for (const Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    const bool ip = metric != Metric::kL2;
+    const RunSetup setup = MakeSetup(world, 4, 2, 2, 4, 1, /*with_norms=*/ip);
+    for (const bool filtered : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "ip=" << ip
+                                        << " filtered=" << filtered);
+      ExecOptions opts;
+      opts.k = 10;
+      opts.nprobe = 4;
+      opts.metric = metric;
+      if (filtered) {
+        opts.labels = &labels;
+        opts.allowed_label = 1;
+      }
+      auto made = MakeExecContext(world.index, setup.plan, setup.stores,
+                                  setup.prewarm, setup.routing,
+                                  world.workload.queries.View(), opts);
+      ASSERT_TRUE(made.ok()) << made.status();
+      const ExecContext& ctx = made.value();
+      ASSERT_EQ(ctx.use_norms, ip);
+      for (const QueryChain& chain : setup.routing.chains) {
+        ChainCandidates cand;
+        BuildChainSliceTable(ctx, chain, &cand);
+        std::unordered_set<int64_t> prewarmed = {past_store + 7,
+                                                 2 * past_store + 1};
+        for (size_t li = 0; li < chain.lists.size(); ++li) {
+          const ListSlice* ls = cand.slices[li];
+          if (ls == nullptr) continue;
+          for (size_t r = 0; r < ls->slice.num_rows(); r += 3) {
+            prewarmed.insert(ls->slice.GlobalId(r));
+          }
+        }
+        for (size_t l = 0; l < world.index.nlist(); ++l) {
+          const bool probed =
+              std::find(chain.lists.begin(), chain.lists.end(),
+                        static_cast<int32_t>(l)) != chain.lists.end();
+          if (!probed && !world.index.ListIds(l).empty()) {
+            prewarmed.insert(world.index.ListIds(l).front());
+          }
+        }
+
+        std::vector<int64_t> want_id;
+        std::vector<int32_t> want_list;
+        std::vector<int32_t> want_row;
+        std::vector<float> want_norm;
+        for (size_t li = 0; li < chain.lists.size(); ++li) {
+          const ListSlice* ls = cand.slices[li];
+          if (ls == nullptr) continue;
+          for (size_t r = 0; r < ls->slice.num_rows(); ++r) {
+            const int64_t gid = ls->slice.GlobalId(r);
+            if (prewarmed.count(gid) > 0) {
+              ++skipped_in_chain;
+              continue;
+            }
+            if (filtered && labels[static_cast<size_t>(gid)] != 1) continue;
+            want_id.push_back(gid);
+            want_list.push_back(static_cast<int32_t>(li));
+            want_row.push_back(static_cast<int32_t>(r));
+            if (ip) want_norm.push_back(ls->total_norm_sq[r]);
+          }
+        }
+
+        ReserveChainCandidateArrays(ctx, chain, &cand);
+        const int64_t* id_data = cand.id.data();
+        const float* partial_data = cand.partial.data();
+        BuildChainCandidateArrays(ctx, chain, prewarmed, &cand);
+        EXPECT_EQ(cand.id, want_id);
+        EXPECT_EQ(cand.list, want_list);
+        EXPECT_EQ(cand.row, want_row);
+        EXPECT_EQ(cand.partial, std::vector<float>(want_id.size(), 0.0f));
+        EXPECT_EQ(cand.rem_p_sq, want_norm);
+        EXPECT_TRUE(cand.bound.empty());
+        EXPECT_EQ(cand.id.data(), id_data);
+        EXPECT_EQ(cand.partial.data(), partial_data);
+      }
+    }
+  }
+  EXPECT_GT(skipped_in_chain, 0u);
 }
 
 // Kernel dispatch tiers and the plan-recorded tune table
@@ -638,7 +781,17 @@ TEST(ExecParityTest, FailoverZeroDegradedUnderCrashAndDrops) {
 // counters. Captured at PR 3 HEAD with the standard Release build; all
 // arithmetic below is integer-derived or IEEE-deterministic, so the values
 // are machine-independent as long as the kernels keep their pinned
-// bit-identity (scan_kernel_test).
+// bit-identity (scan_kernel_test). Result checksums are pinned per kernel
+// family: AVX2 and AVX-512 are bit-identical to each other, but the
+// portable kernels accumulate rows wider than 16 in a different order.
+
+/// The checksum of the kernel family the engine's batches dispatch on (the
+/// tune table kAuto resolves to; HARMONY_KERNEL_TIER pins it).
+uint64_t ByKernelFamily(uint64_t simd, uint64_t portable) {
+  return ResolveKernelTune(KernelTier::kAuto).tier == KernelTier::kPortable
+             ? portable
+             : simd;
+}
 
 /// Order-independent checksum over a result set (commutative fold per
 /// query, then a query-position multiplier), so it is stable across merge
@@ -818,7 +971,9 @@ TEST(ExecPinnedGoldens, SimulatedDefaultsHealthy) {
                               setup.prewarm, setup.routing,
                               world.workload.queries.View(), opts, &cluster);
   ASSERT_TRUE(sim.ok()) << sim.status();
-  const SimGolden want{0x29866fbc0a7a2be7ull, 0x3f439f6aaf177a92ull,
+  const SimGolden want{ByKernelFamily(0x29866fbc0a7a2be7ull,
+                                      0x29866fbc0a7a2c92ull),
+                       0x3f439f6aaf177a92ull,
                        0x3f439f6aaf177a92ull, 629907ull, 243432ull,
                        1213056ull, 28445ull, 19326ull, 0ull};
   PrintAndCheckSim(want, sim.value(), cluster);
@@ -849,7 +1004,9 @@ TEST(ExecPinnedGoldens, SimulatedDroppyLanes) {
                               setup.prewarm, setup.routing,
                               world.workload.queries.View(), opts, &cluster);
   ASSERT_TRUE(sim.ok()) << sim.status();
-  const SimGolden want{0x6f5f5fcf3741051eull, 0x3f2af95c4a1d4d71ull,
+  const SimGolden want{ByKernelFamily(0x6f5f5fcf3741051eull,
+                                      0x6f5f5fcf37410644ull),
+                       0x3f2af95c4a1d4d71ull,
                        0x3f2af95c4a1d4d71ull, 637337ull, 243360ull,
                        1337664ull, 28445ull, 18887ull, 121081140ull};
   PrintAndCheckSim(want, sim.value(), cluster);
