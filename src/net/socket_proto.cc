@@ -37,6 +37,7 @@ class WordReader {
   /// Copies `n` raw words into `out` (element size 4).
   Status Span32(void* out, size_t n, const char* what) {
     if (remaining() < n) return Truncated(what);
+    if (n == 0) return Status::OK();
     std::memcpy(out, words_ + pos_, n * sizeof(uint32_t));
     pos_ += n;
     return Status::OK();
@@ -45,6 +46,7 @@ class WordReader {
   /// Copies `n` 64-bit values (2 words each, lo/hi) into `out`.
   Status Span64(void* out, size_t n, const char* what) {
     if (remaining() < 2 * n) return Truncated(what);
+    if (n == 0) return Status::OK();
     std::memcpy(out, words_ + pos_, n * sizeof(uint64_t));
     pos_ += 2 * n;
     return Status::OK();
@@ -83,13 +85,17 @@ void PutF32(float v, std::vector<uint32_t>* out) {
   out->push_back(w);
 }
 
+// The span helpers skip the memcpy for n == 0: an empty column's data()
+// may be null, and memcpy from or to null is undefined even for 0 bytes.
 void PutSpan32(const void* data, size_t n, std::vector<uint32_t>* out) {
+  if (n == 0) return;
   const size_t base = out->size();
   out->resize(base + n);
   std::memcpy(out->data() + base, data, n * sizeof(uint32_t));
 }
 
 void PutSpan64(const void* data, size_t n, std::vector<uint32_t>* out) {
+  if (n == 0) return;
   const size_t base = out->size();
   out->resize(base + 2 * n);
   std::memcpy(out->data() + base, data, n * sizeof(uint64_t));
@@ -213,6 +219,16 @@ Result<StageScanRequest> DecodeStageScanRequest(
     return Status::IoError("scan request: " + std::to_string(count) +
                            " candidates exceeds cap");
   }
+  // The declared columns must all be present before any of them is
+  // allocated: a short hostile request cannot make the worker zero-fill
+  // gigabytes only to fail on the first missing word.
+  const uint64_t need = uint64_t{req.width} + num_lists +
+                        uint64_t{count} * (req.use_norms ? 6 : 5);
+  if (r.remaining() < need) {
+    return Status::IoError("truncated scan request: declares " +
+                           std::to_string(need) + " words, carries " +
+                           std::to_string(r.remaining()));
+  }
   req.q_slice.resize(req.width);
   HARMONY_RETURN_NOT_OK(r.Span32(req.q_slice.data(), req.width, "q_slice"));
   req.lists.resize(num_lists);
@@ -268,6 +284,12 @@ Result<StageScanResult> DecodeStageScanResult(
   }
   HARMONY_ASSIGN_OR_RETURN(res.ops, r.U64("result ops"));
   HARMONY_ASSIGN_OR_RETURN(res.dropped, r.U64("result dropped"));
+  const uint64_t need = uint64_t{count} * (res.has_norms ? 6 : 5);
+  if (r.remaining() < need) {
+    return Status::IoError("truncated scan result: declares " +
+                           std::to_string(need) + " words, carries " +
+                           std::to_string(r.remaining()));
+  }
   res.id.resize(count);
   HARMONY_RETURN_NOT_OK(r.Span64(res.id.data(), count, "survivor ids"));
   res.list.resize(count);
@@ -314,7 +336,7 @@ Status DecodeErrorStatus(const std::vector<uint32_t>& payload) {
   HARMONY_RETURN_NOT_OK(r.Span32(body.data(), msg_words, "error body"));
   HARMONY_RETURN_NOT_OK(r.ExpectEnd("error message"));
   std::string msg(msg_len, '\0');
-  std::memcpy(msg.data(), body.data(), msg_len);
+  if (msg_len > 0) std::memcpy(msg.data(), body.data(), msg_len);
   return Status(static_cast<StatusCode>(code), std::move(msg));
 }
 

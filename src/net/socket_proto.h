@@ -82,7 +82,9 @@ struct StageScanRequest {
 };
 
 /// Decode-time caps: a corrupt or hostile request cannot make the worker
-/// allocate unboundedly (checked before any resize).
+/// allocate unboundedly (checked before any resize). Below the caps, the
+/// decoders also require the payload to carry every declared word before
+/// they size a column, so a short message never allocates for its claim.
 constexpr uint32_t kMaxScanWidth = 1u << 20;
 constexpr uint32_t kMaxScanLists = 1u << 20;
 constexpr uint32_t kMaxScanCandidates = 1u << 26;

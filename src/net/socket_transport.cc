@@ -8,10 +8,12 @@
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -86,19 +88,56 @@ Status SetNonBlocking(int fd) {
   return Status::OK();
 }
 
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+/// Slice-by-16 tables for CRC-32 (IEEE, reflected, polynomial 0xEDB88320).
+/// Row 0 is the classic bytewise table; row k maps a byte to its CRC
+/// contribution k bytes further along the stream, so one step folds 16
+/// input bytes with 16 independent lookups instead of a 16-long chain.
+struct Crc32Tables {
+  uint32_t t[16][256];
+};
+
+const Crc32Tables& Crc32Table() {
+  static const Crc32Tables tables = [] {
+    Crc32Tables x;
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      x.t[0][i] = c;
     }
-    return t;
+    for (int k = 1; k < 16; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        x.t[k][i] = (x.t[k - 1][i] >> 8) ^ x.t[0][x.t[k - 1][i] & 0xFF];
+      }
+    }
+    return x;
   }();
-  return table;
+  return tables;
+}
+
+/// Four stream bytes as a little-endian word (memcpy: any alignment).
+uint32_t LoadLe32(const uint8_t* p) {
+  uint32_t w;
+  std::memcpy(&w, p, sizeof(w));
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap32(w);
+  }
+  return w;
+}
+
+/// Advances a gather/scatter list past `n` transferred bytes, dropping the
+/// entries it finishes (and any empty ones right after them).
+void ConsumeIov(struct iovec** iov, int* iovcnt, size_t n) {
+  while (*iovcnt > 0 && n >= (*iov)->iov_len) {
+    n -= (*iov)->iov_len;
+    ++*iov;
+    --*iovcnt;
+  }
+  if (n > 0) {
+    (*iov)->iov_base = static_cast<uint8_t*>((*iov)->iov_base) + n;
+    (*iov)->iov_len -= n;
+  }
 }
 
 constexpr uint16_t kFlagFin = 1;
@@ -110,11 +149,25 @@ uint32_t OpWord(uint16_t op, uint16_t flags) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t init) {
-  const uint32_t* table = Crc32Table();
+  const auto& t = Crc32Table().t;
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t c = init ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; size >= 16; size -= 16, p += 16) {
+    const uint32_t w0 = LoadLe32(p) ^ c;
+    const uint32_t w1 = LoadLe32(p + 4);
+    const uint32_t w2 = LoadLe32(p + 8);
+    const uint32_t w3 = LoadLe32(p + 12);
+    c = t[15][w0 & 0xFF] ^ t[14][(w0 >> 8) & 0xFF] ^
+        t[13][(w0 >> 16) & 0xFF] ^ t[12][w0 >> 24] ^
+        t[11][w1 & 0xFF] ^ t[10][(w1 >> 8) & 0xFF] ^
+        t[9][(w1 >> 16) & 0xFF] ^ t[8][w1 >> 24] ^
+        t[7][w2 & 0xFF] ^ t[6][(w2 >> 8) & 0xFF] ^
+        t[5][(w2 >> 16) & 0xFF] ^ t[4][w2 >> 24] ^
+        t[3][w3 & 0xFF] ^ t[2][(w3 >> 8) & 0xFF] ^
+        t[1][(w3 >> 16) & 0xFF] ^ t[0][w3 >> 24];
+  }
+  for (; size > 0; --size, ++p) {
+    c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -187,14 +240,20 @@ void SocketChannel::Close() {
   }
 }
 
-Status SocketChannel::WriteAll(const uint8_t* data, size_t size,
+Status SocketChannel::WriteAll(struct iovec* iov, int iovcnt,
                                int64_t deadline_at) {
+  size_t size = 0;
+  for (int i = 0; i < iovcnt; ++i) size += iov[i].iov_len;
   size_t off = 0;
   while (off < size) {
     HARMONY_RETURN_NOT_OK(PollFor(fd_, POLLOUT, deadline_at));
-    const ssize_t n = send(fd_, data + off, size - off, MSG_NOSIGNAL);
+    struct msghdr mh = {};
+    mh.msg_iov = iov;
+    mh.msg_iovlen = static_cast<size_t>(iovcnt);
+    const ssize_t n = sendmsg(fd_, &mh, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
+      ConsumeIov(&iov, &iovcnt, static_cast<size_t>(n));
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
@@ -205,10 +264,12 @@ Status SocketChannel::WriteAll(const uint8_t* data, size_t size,
   return Status::OK();
 }
 
-Status SocketChannel::ReadAll(uint8_t* data, size_t size, size_t read_cap,
+Status SocketChannel::ReadAll(struct iovec* iov, int iovcnt, size_t read_cap,
                               int64_t* deadline_at, bool* started,
                               bool* clean_eof) {
   if (clean_eof != nullptr) *clean_eof = false;
+  size_t size = 0;
+  for (int i = 0; i < iovcnt; ++i) size += iov[i].iov_len;
   size_t off = 0;
   while (off < size) {
     const Status polled = PollFor(fd_, POLLIN, *deadline_at);
@@ -219,10 +280,18 @@ Status SocketChannel::ReadAll(uint8_t* data, size_t size, size_t read_cap,
       }
       return polled;
     }
-    const size_t want = std::min(size - off, read_cap);
-    const ssize_t n = recv(fd_, data + off, want, 0);
+    ssize_t n;
+    if (read_cap < size - off) {
+      n = recv(fd_, iov->iov_base, std::min(iov->iov_len, read_cap), 0);
+    } else {
+      struct msghdr mh = {};
+      mh.msg_iov = iov;
+      mh.msg_iovlen = static_cast<size_t>(iovcnt);
+      n = recvmsg(fd_, &mh, 0);
+    }
     if (n > 0) {
       off += static_cast<size_t>(n);
+      ConsumeIov(&iov, &iovcnt, static_cast<size_t>(n));
       *started = true;
       *deadline_at = DeadlineAt(deadline_ms_);
       continue;
@@ -250,16 +319,22 @@ Status SocketChannel::SendFrame(uint16_t op, bool fin, const uint32_t* chunk,
   h.seq = send_seq_;
   h.length = static_cast<uint16_t>(words + 2);
 
-  std::vector<uint32_t> payload(words + 2);
-  payload[0] = OpWord(op, fin ? kFlagFin : 0);
-  if (words > 0) std::memcpy(payload.data() + 2, chunk, words * sizeof(uint32_t));
-  uint32_t crc = Crc32(&payload[0], sizeof(uint32_t));
-  if (words > 0) crc = Crc32(payload.data() + 2, words * sizeof(uint32_t), crc);
-  payload[1] = crc;
-
-  std::vector<uint8_t> wire;
-  wire.reserve(FrameWireBytes(payload.size()));
-  AppendFrameBytes(h, payload.data(), &wire);
+  // Header word, op word and CRC word go out from the stack; the chunk is
+  // checksummed and sent from the caller's buffer, never copied.
+  const uint64_t header_word = h.Encode();
+  const uint32_t op_word = OpWord(op, fin ? kFlagFin : 0);
+  uint32_t crc = Crc32(&op_word, sizeof(op_word));
+  if (words > 0) crc = Crc32(chunk, words * sizeof(uint32_t), crc);
+  uint8_t head[FrameHeader::kWireBytes + 2 * sizeof(uint32_t)];
+  std::memcpy(head, &header_word, sizeof(header_word));
+  std::memcpy(head + sizeof(header_word), &op_word, sizeof(op_word));
+  std::memcpy(head + sizeof(header_word) + sizeof(op_word), &crc, sizeof(crc));
+  struct iovec iov[2];
+  iov[0].iov_base = head;
+  iov[0].iov_len = sizeof(head);
+  iov[1].iov_base = const_cast<uint32_t*>(chunk);
+  iov[1].iov_len = words * sizeof(uint32_t);
+  const size_t wire_bytes = FrameWireBytes(h.length);
 
   // Deterministic connection-layer faults, keyed by this channel's send
   // frame counter so a replay fails on the identical frame.
@@ -274,17 +349,19 @@ Status SocketChannel::SendFrame(uint16_t op, bool fin, const uint32_t* chunk,
       return Status::IoError("injected connection reset before send");
     }
     size_t torn = 0;
-    if (shim_->TearWrite(op_index, wire.size(), &torn)) {
+    if (shim_->TearWrite(op_index, wire_bytes, &torn)) {
       // Best-effort write of the torn prefix, then hard-close: the peer
       // sees a truncated frame, we see a dead connection.
-      (void)WriteAll(wire.data(), torn, deadline_at);
+      iov[0].iov_len = std::min(torn, sizeof(head));
+      iov[1].iov_len = torn - iov[0].iov_len;
+      (void)WriteAll(iov, 2, deadline_at);
       Close();
       return Status::IoError("injected torn write (" + std::to_string(torn) +
-                             "/" + std::to_string(wire.size()) + " bytes)");
+                             "/" + std::to_string(wire_bytes) + " bytes)");
     }
   }
 
-  HARMONY_RETURN_NOT_OK(WriteAll(wire.data(), wire.size(), deadline_at));
+  HARMONY_RETURN_NOT_OK(WriteAll(iov, 2, deadline_at));
   ++send_seq_;
   ++frames_sent_;
   return Status::OK();
@@ -332,14 +409,12 @@ Result<WireMessage> SocketChannel::Recv() {
       if (shim_->ShortRead(op_index, &cap)) read_cap = cap;
     }
 
-    uint8_t header_bytes[FrameHeader::kWireBytes];
+    uint64_t word = 0;
+    struct iovec header_iov = {&word, sizeof(word)};
     bool clean_eof = false;
-    Status st = ReadAll(header_bytes, sizeof(header_bytes), read_cap,
-                        &deadline_at, &started,
+    Status st = ReadAll(&header_iov, 1, read_cap, &deadline_at, &started,
                         first_frame ? &clean_eof : nullptr);
     if (!st.ok()) return st;
-    uint64_t word = 0;
-    std::memcpy(&word, header_bytes, sizeof(word));
     HARMONY_ASSIGN_OR_RETURN(const FrameHeader h, ValidateFrameHeader(word));
     if (h.length < 2) {
       return Status::IoError("frame too short for opcode + checksum: " +
@@ -359,24 +434,35 @@ Result<WireMessage> SocketChannel::Recv() {
                              std::to_string(recv_seq_));
     }
 
-    std::vector<uint32_t> payload(h.length);
-    HARMONY_RETURN_NOT_OK(
-        ReadAll(reinterpret_cast<uint8_t*>(payload.data()),
-                payload.size() * sizeof(uint32_t), read_cap, &deadline_at,
-                &started, nullptr));
-    uint32_t crc = Crc32(&payload[0], sizeof(uint32_t));
-    if (h.length > 2) {
-      crc = Crc32(payload.data() + 2, (h.length - 2) * sizeof(uint32_t), crc);
+    // The chunk lands straight in the message's tail and is verified there.
+    const size_t chunk_words = h.length - 2u;
+    if (msg.payload.size() + chunk_words > kMaxMessageWords) {
+      return Status::IoError("reassembled message exceeds cap");
     }
-    if (crc != payload[1]) {
+    const size_t base = msg.payload.size();
+    msg.payload.resize(base + chunk_words);
+    uint32_t op_crc[2];
+    struct iovec body_iov[2];
+    body_iov[0].iov_base = op_crc;
+    body_iov[0].iov_len = sizeof(op_crc);
+    body_iov[1].iov_base = msg.payload.data() + base;
+    body_iov[1].iov_len = chunk_words * sizeof(uint32_t);
+    HARMONY_RETURN_NOT_OK(ReadAll(body_iov, 2, read_cap, &deadline_at,
+                                  &started, nullptr));
+    uint32_t crc = Crc32(&op_crc[0], sizeof(uint32_t));
+    if (chunk_words > 0) {
+      crc = Crc32(msg.payload.data() + base, chunk_words * sizeof(uint32_t),
+                  crc);
+    }
+    if (crc != op_crc[1]) {
       return Status::IoError("frame checksum mismatch (seq " +
                              std::to_string(h.seq) + ")");
     }
     ++recv_seq_;
     ++frames_received_;
 
-    const uint16_t op = static_cast<uint16_t>(payload[0]);
-    const uint16_t flags = static_cast<uint16_t>(payload[0] >> 16);
+    const uint16_t op = static_cast<uint16_t>(op_crc[0]);
+    const uint16_t flags = static_cast<uint16_t>(op_crc[0] >> 16);
     if (first_frame) {
       msg.op = op;
       first_frame = false;
@@ -385,10 +471,6 @@ Result<WireMessage> SocketChannel::Recv() {
                              std::to_string(op) + " vs " +
                              std::to_string(msg.op));
     }
-    if (msg.payload.size() + (h.length - 2) > kMaxMessageWords) {
-      return Status::IoError("reassembled message exceeds cap");
-    }
-    msg.payload.insert(msg.payload.end(), payload.begin() + 2, payload.end());
     if (flags & kFlagFin) return msg;
   }
 }

@@ -11,6 +11,8 @@
 #include "serve/msg_queue.h"
 #include "util/status.h"
 
+struct iovec;
+
 namespace harmony {
 
 /// \brief A parsed transport endpoint: `unix:/path/to.sock` (AF_UNIX
@@ -115,11 +117,15 @@ class SocketChannel {
  private:
   Status SendFrame(uint16_t op, bool fin, const uint32_t* chunk, size_t words,
                    int64_t deadline_at);
-  Status WriteAll(const uint8_t* data, size_t size, int64_t deadline_at);
-  /// Reads exactly `size` bytes, waiting at most until `*deadline_at` for
-  /// each. Every byte read sets `*started` and pushes `*deadline_at` one
-  /// deadline out; a wait that expires after `*started` is kIoError.
-  Status ReadAll(uint8_t* data, size_t size, size_t read_cap,
+  /// Writes the gather list `iov` (consumed as it goes; its first entry
+  /// must be non-empty), polling before each sendmsg until `deadline_at`.
+  Status WriteAll(struct iovec* iov, int iovcnt, int64_t deadline_at);
+  /// Fills the scatter list `iov` (consumed as it goes; its first entry
+  /// must be non-empty), waiting at most until `*deadline_at` for each
+  /// read; `read_cap` caps one recv. Every byte read sets `*started` and
+  /// pushes `*deadline_at` one deadline out; a wait that expires after
+  /// `*started` is kIoError.
+  Status ReadAll(struct iovec* iov, int iovcnt, size_t read_cap,
                  int64_t* deadline_at, bool* started, bool* clean_eof);
 
   int fd_ = -1;
@@ -182,7 +188,8 @@ Result<std::pair<SocketChannel, SocketChannel>> MakeChannelPair(
     uint16_t tenant);
 
 /// CRC-32 (IEEE, reflected) over `size` bytes, seeded by `init` so chunks
-/// can chain. The frame checksum uses this.
+/// can chain. The frame checksum uses this. Computed slice-by-16 (16 bytes
+/// per step); the values are those of the bytewise definition.
 uint32_t Crc32(const void* data, size_t size, uint32_t init = 0);
 
 }  // namespace harmony

@@ -147,6 +147,122 @@ TEST(SocketChannelTest, DeadlineExpiresAsTimeout) {
   EXPECT_EQ(msg.status().code(), StatusCode::kTimeout);
 }
 
+/// Bytewise table-free CRC-32 (IEEE 802.3, reflected, polynomial
+/// 0xEDB88320): the textbook bit loop, independent of the transport's
+/// table code, so it is an outside reference for Crc32.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t size, uint32_t init) {
+  uint32_t c = init ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SocketChannelTest, Crc32CheckValue) {
+  const char* check = "123456789";
+  EXPECT_EQ(Crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(ReferenceCrc32(reinterpret_cast<const uint8_t*>(check), 9, 0),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  EXPECT_EQ(Crc32(nullptr, 0, 0x12345678u), 0x12345678u);
+}
+
+// Every length 0..1100 at every start offset 0..15 (so each alignment of
+// the word loads is covered), plain and chained: a split at any point,
+// fed back through `init`, must give the one-pass value.
+TEST(SocketChannelTest, Crc32MatchesBytewiseReference) {
+  constexpr size_t kMaxLen = 1100;
+  constexpr size_t kMaxOffset = 16;
+  std::vector<uint8_t> buf(kMaxLen + kMaxOffset);
+  Rng rng(0xC2C);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextBounded(256));
+  for (size_t off = 0; off < kMaxOffset; ++off) {
+    const uint8_t* p = buf.data() + off;
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      const uint32_t init = static_cast<uint32_t>(len * 0x9E3779B1u + off);
+      const uint32_t want = ReferenceCrc32(p, len, init);
+      ASSERT_EQ(Crc32(p, len, init), want) << "off=" << off << " len=" << len;
+      const size_t cut = (len * 7 + off) % (len + 1);
+      const uint32_t head = Crc32(p, cut, init);
+      ASSERT_EQ(Crc32(p + cut, len - cut, head), want)
+          << "off=" << off << " len=" << len << " cut=" << cut;
+    }
+  }
+}
+
+/// FNV-1a 64 over a byte string: a digest that shares nothing with CRC-32.
+uint64_t Fnv1a64(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  for (const uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// The exact bytes Send puts on the wire for a fixed three-frame message
+// (two full chunks plus a short FIN chunk), read off the raw peer fd and
+// pinned by digest (the frame ABI is host byte order; the value is for a
+// little-endian host). Any change to the header packing, the op/flags
+// word, the CRC value or the chunking shows up here.
+TEST(SocketChannelTest, WireBytesOfThreeFrameMessageArePinned) {
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  SocketChannel client(fds[0], /*tenant=*/9);
+  const size_t words = 2 * SocketChannel::kMaxChunkWords + 5;
+  const std::vector<uint32_t> payload = MakePayload(words, 0x5EED);
+  const size_t total = 3 * FrameHeader::kWireBytes + (words + 6) * 4;
+  std::thread sender([&client, &payload] {
+    EXPECT_TRUE(client.Send(0x1234, payload).ok());
+  });
+  std::vector<uint8_t> wire(total);
+  size_t got = 0;
+  while (got < total) {
+    const ssize_t n = recv(fds[1], wire.data() + got, total - got, 0);
+    ASSERT_GT(n, 0);
+    got += static_cast<size_t>(n);
+  }
+  sender.join();
+  close(fds[1]);
+  EXPECT_EQ(client.frames_sent(), 3u);
+  EXPECT_EQ(Fnv1a64(wire), 0x2B171159133068BAULL);
+}
+
+// Messages sized at the chunk boundaries: exactly one full frame, one
+// word past it (a one-word FIN frame follows), and exactly two full
+// frames. Each round-trips plain and with every recv fragmented.
+TEST(SocketChannelTest, ChunkBoundaryMessagesRoundTrip) {
+  constexpr size_t kChunk = SocketChannel::kMaxChunkWords;
+  SocketFaultPlan fragment;
+  fragment.seed = 0xB0DA;
+  fragment.short_read_prob = 1.0;
+  const SocketFaultInjector shim(fragment, /*channel=*/5);
+  for (const bool short_reads : {false, true}) {
+    for (const size_t words : {kChunk, kChunk + 1, 2 * kChunk}) {
+      auto pair = MakeChannelPair(4);
+      ASSERT_TRUE(pair.ok()) << pair.status();
+      SocketChannel client = std::move(pair.value().first);
+      SocketChannel server = std::move(pair.value().second);
+      if (short_reads) server.set_fault_injector(&shim);
+      const std::vector<uint32_t> payload =
+          MakePayload(words, static_cast<uint32_t>(words));
+      std::thread sender([&client, &payload] {
+        EXPECT_TRUE(client.Send(31, payload).ok());
+      });
+      auto msg = server.Recv();
+      sender.join();
+      ASSERT_TRUE(msg.ok()) << msg.status();
+      EXPECT_EQ(msg.value().op, 31);
+      EXPECT_EQ(msg.value().payload, payload)
+          << "words=" << words << " short_reads=" << short_reads;
+      const uint64_t frames = (words + kChunk - 1) / kChunk;
+      EXPECT_EQ(client.frames_sent(), frames);
+      EXPECT_EQ(server.frames_received(), frames);
+    }
+  }
+}
+
 /// Writes `bytes` raw onto the peer's stream, bypassing Send's framing —
 /// the corruption injection point for the decode tests.
 void RawWrite(int fd, const void* bytes, size_t size) {
@@ -552,6 +668,59 @@ TEST(SocketFaultTest, ShortReadShimStillDeliversIntactMessages) {
     ASSERT_TRUE(msg.ok()) << msg.status();
     EXPECT_EQ(msg.value().payload, payload);
   }
+}
+
+/// Everything `fd` delivers until the peer closes it.
+std::vector<uint8_t> ReadUntilEof(int fd) {
+  std::vector<uint8_t> bytes;
+  uint8_t buf[4096];
+  ssize_t n;
+  while ((n = recv(fd, buf, sizeof(buf), 0)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  return bytes;
+}
+
+// A torn write puts exactly the coin's prefix of the frame on the wire,
+// whether the cut falls in the header/op/CRC words or in the chunk.
+TEST(SocketFaultTest, TornWriteDeliversExactlyTheCoinsPrefix) {
+  const std::vector<uint32_t> payload = MakePayload(64, 0x7041);
+  const size_t frame_bytes = FrameWireBytes(payload.size() + 2);
+  std::vector<uint8_t> frame;
+  {
+    int fds[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    SocketChannel client(fds[0], /*tenant=*/9);
+    ASSERT_TRUE(client.Send(3, payload).ok());
+    client.Close();
+    frame = ReadUntilEof(fds[1]);
+    close(fds[1]);
+  }
+  ASSERT_EQ(frame.size(), frame_bytes);
+  bool cut_in_head = false;
+  bool cut_in_chunk = false;
+  for (uint64_t seed = 0; seed < 64; ++seed) {
+    SocketFaultPlan plan;
+    plan.seed = seed;
+    plan.torn_write_prob = 1.0;
+    const SocketFaultInjector shim(plan, /*channel=*/2);
+    size_t torn = 0;
+    ASSERT_TRUE(shim.TearWrite(0, frame_bytes, &torn));
+    (torn < FrameWireBytes(2) ? cut_in_head : cut_in_chunk) = true;
+    int fds[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    SocketChannel client(fds[0], /*tenant=*/9);
+    client.set_fault_injector(&shim);
+    EXPECT_FALSE(client.Send(3, payload).ok());
+    EXPECT_FALSE(client.valid());
+    const std::vector<uint8_t> got = ReadUntilEof(fds[1]);
+    close(fds[1]);
+    ASSERT_EQ(got.size(), torn) << "seed=" << seed;
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), frame.begin()))
+        << "seed=" << seed;
+  }
+  EXPECT_TRUE(cut_in_head);
+  EXPECT_TRUE(cut_in_chunk);
 }
 
 TEST(SocketFaultTest, TornWriteReplaysIdentically) {
