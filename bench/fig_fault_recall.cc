@@ -318,7 +318,7 @@ void RegisterAll() {
       FaultPlan plan;
       plan.seed = 1234;
       for (size_t m = 0; m < dead; ++m) {
-        plan.crashes.push_back({m, 0.0});
+        plan.crashes.push_back({static_cast<int>(m), 0.0});
       }
       std::ostringstream name;
       name << "fig_fault/" << dataset << "/crashed:" << dead << "of"

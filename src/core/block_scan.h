@@ -3,12 +3,28 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 #include "core/worker.h"
 #include "index/distance.h"
 #include "index/kernel_tune.h"
 
 namespace harmony {
+
+/// \brief The ADC tables one PQ-stream stage scans with: dimension block
+/// d's table for each list of one chain. Codes are coarse-centroid
+/// residuals, so the table depends on the probed list. Built by the stage
+/// that scans the block (BuildStageAdcTables, core/exec_plan.h), immutable
+/// once built, and freed with the stage's scan parameters.
+struct StageAdcTables {
+  /// Every list's table back to back, each M_d * ksub_d floats in
+  /// subspace-major order (the adc_batch kernel layout).
+  std::vector<float> values;
+  /// tables[li] points at chain list li's table inside `values`; null for
+  /// lists with no slice in the block (they carry no candidates).
+  std::vector<const float*> tables;
+};
 
 /// \brief One dimension-block scan stage over a chain's candidate arrays,
 /// shared by the simulated (core/pipeline.cc) and threaded
@@ -48,13 +64,16 @@ struct BlockScanParams {
   /// non-null: the stage walks the slices' PQ code streams through the ADC
   /// kernel instead of float rows. Codes are coarse-centroid residuals, so
   /// the ADC table is per probed list: `luts[li]` is the table of (query,
-  /// chain list li, this block), indexed like `slices`. `partial`
-  /// accumulates the raw ADC estimate; the separate `bound` column
-  /// accumulates the conservative prune bound (L2:
+  /// chain list li, this block), indexed like `slices`. When the
+  /// parameters come from MakeStageScanParams, `luts` points into
+  /// `adc_tables`, which keeps the tables alive as long as any copy of the
+  /// parameters. `partial` accumulates the raw ADC estimate; the separate
+  /// `bound` column accumulates the conservative prune bound (L2:
   /// (max(0, sqrt(adc) - err))², a lower bound on the true partial; IP:
   /// adc + ||q^(d)|| * err, an upper bound), and the prune masks test
   /// `bound` in place of `partial`.
   const float* const* luts = nullptr;  ///< Per chain-list ADC tables.
+  std::shared_ptr<const StageAdcTables> adc_tables;  ///< Owner of `luts`.
   size_t ksub = 0;               ///< Codewords per subspace (LUT row length).
   size_t code_size = 0;          ///< Bytes per code row (M_d).
   float q_band_norm = 0.0f;      ///< IP only: ||q^(d)||.

@@ -323,7 +323,9 @@ BlockScanParams MakeStageScanParams(const ExecContext& ctx,
   scan.dispatch = ctx.DispatchFor(range.width());
   if (ctx.use_pq) {
     const ProductQuantizer& q = ctx.opts->pq->block(d);
-    scan.luts = cand.luts.data() + d * chain.lists.size();
+    // Built here, on the thread running the stage, and freed with `scan`.
+    scan.adc_tables = BuildStageAdcTables(ctx, chain, cand, d);
+    scan.luts = scan.adc_tables->tables.data();
     scan.ksub = q.codewords();
     scan.code_size = q.code_size();
     if (ctx.use_ip) {
@@ -390,12 +392,16 @@ size_t RerankChainCandidates(const ExecContext& ctx, const QueryChain& chain,
   const size_t depth = ctx.opts->rerank_depth;
   if (depth > 0 && depth < count) {
     // Quantized-score order: ADC partial in distance convention, ids break
-    // ties — ids are unique within a chain, so the order (hence the byte
-    // bill) is deterministic.
-    std::sort(pick.begin(), pick.end(), [&](size_t a, size_t b) {
+    // ties — ids are unique within a chain, so the order is strict and
+    // total: selecting the best `depth` and sorting only them yields the
+    // picks, in the order, a full sort would (hence the same byte bill).
+    auto less = [&](size_t a, size_t b) {
       return RerankOrderLess(cand, use_ip, a, b);
-    });
+    };
+    const auto kept = pick.begin() + static_cast<std::ptrdiff_t>(depth);
+    std::nth_element(pick.begin(), kept, pick.end(), less);
     pick.resize(depth);
+    std::sort(pick.begin(), pick.end(), less);
   }
   return RerankChainIndices(ctx, chain, cand, scanned_mask, pick.data(),
                             pick.size(), skip_by_tau, tau, begin, dist_out);
@@ -622,6 +628,9 @@ void ChainExecutor::RunGroupStage(std::shared_ptr<GroupExecState> group) {
   std::vector<ChainExecState*> active;
   scans.reserve(group->members.size());
   active.reserve(group->members.size());
+  // PQ streams: each member's ADC tables, built here on the stage's machine
+  // and freed when the stage returns.
+  std::vector<std::shared_ptr<const StageAdcTables>> member_tables;
   for (const auto& member : group->members) {
     if (member->cand.id.empty()) continue;
     if ((member->lost_mask >> d) & 1) continue;
@@ -644,7 +653,9 @@ void ChainExecutor::RunGroupStage(std::shared_ptr<GroupExecState> group) {
     ms.rem_p_sq = ctx_.use_norms ? member->cand.rem_p_sq.data() : nullptr;
     if (ctx_.use_pq) {
       ms.bound = member->cand.bound.data();
-      ms.luts = member->cand.luts.data() + d * chain.lists.size();
+      member_tables.push_back(
+          BuildStageAdcTables(ctx_, chain, member->cand, d));
+      ms.luts = member_tables.back()->tables.data();
       if (ctx_.use_ip) {
         ms.q_band_norm =
             ctx_.pq_q_norm[static_cast<size_t>(chain.query) * ctx_.b_dim + d];

@@ -126,6 +126,9 @@ Status HarmonyEngine::TrainQuantizer(const PartitionPlan& plan) {
   params.num_subspaces = options_.pq_subspaces;
   params.bits = options_.pq_bits;
   params.train_iters = options_.pq_train_iters;
+  // The IVF training threads also train the subspace k-means; the
+  // codebooks are bit-identical for every thread count.
+  params.num_threads = options_.ivf.train_threads;
   return quantizer_.Train(train.View(), plan.dim_ranges, params);
 }
 

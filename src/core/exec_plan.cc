@@ -6,7 +6,6 @@
 
 #include "index/distance.h"
 #include "index/pq.h"
-#include "util/logging.h"
 
 namespace harmony {
 
@@ -99,68 +98,29 @@ Result<ExecContext> MakeExecContext(const IvfIndex& index,
                         : &ResolveKernelTune(opts.kernel_tier);
   if (opts.use_pq_streams) {
     ctx.use_pq = true;
-    const GridQuantizer& pq = *opts.pq;
-    // Per-block offsets into one (query, probe slot)'s LUT segment. Codes
-    // are coarse-centroid residuals, so the table depends on the probed
-    // list: L2 tables are built from the residual query q - c_l; IP tables
-    // from q itself with the constant <q^(d), c_l^(d)> folded into subspace
-    // 0, so the ADC sum estimates the block's true partial either way. The
-    // whole build is a pure function of (quantizer, centroids, routing,
-    // queries), so both engines share identical tables no matter how
-    // stages interleave.
-    ctx.lut_offset.resize(ctx.b_dim);
-    size_t stride = 0;
-    for (size_t d = 0; d < ctx.b_dim; ++d) {
-      ctx.lut_offset[d] = stride;
-      const ProductQuantizer& q = pq.block(d);
-      stride += q.num_subspaces() * q.codewords();
-    }
-    ctx.lut_stride = stride;
+    // The ADC tables are built by the stages that scan them
+    // (BuildStageAdcTables); the context keeps only the simulator's bill
+    // for them and the IP bound's per-block query norms.
+    size_t max_probes = 0;  // probe slots per query, max over the batch
     for (size_t qi = 0; qi < ctx.num_queries; ++qi) {
-      ctx.lut_probes = std::max(ctx.lut_probes, routing.probe_lists[qi].size());
+      max_probes = std::max(max_probes, routing.probe_lists[qi].size());
     }
     for (size_t d = 0; d < ctx.b_dim; ++d) {
-      const ProductQuantizer& q = pq.block(d);
+      const ProductQuantizer& q = opts.pq->block(d);
       // Per probed list: the residual subtraction plus the table fill.
       ctx.lut_build_ops +=
-          static_cast<uint64_t>(ctx.lut_probes) *
+          static_cast<uint64_t>(max_probes) *
           (static_cast<uint64_t>(q.codewords()) * plan.dim_ranges[d].width() +
            plan.dim_ranges[d].width());
     }
-    ctx.luts.resize(ctx.num_queries * ctx.lut_probes * stride);
-    if (ctx.use_ip) ctx.pq_q_norm.resize(ctx.num_queries * ctx.b_dim);
-    std::vector<float> qres(ctx.dim);
-    for (size_t qi = 0; qi < ctx.num_queries; ++qi) {
-      const float* qrow = queries.Row(qi);
-      if (ctx.use_ip) {
+    if (ctx.use_ip) {
+      ctx.pq_q_norm.resize(ctx.num_queries * ctx.b_dim);
+      for (size_t qi = 0; qi < ctx.num_queries; ++qi) {
+        const float* qrow = queries.Row(qi);
         for (size_t d = 0; d < ctx.b_dim; ++d) {
           const DimRange r = plan.dim_ranges[d];
           ctx.pq_q_norm[qi * ctx.b_dim + d] = std::sqrt(
               PartialIp(qrow + r.begin, qrow + r.begin, r.width()));
-        }
-      }
-      const std::vector<int32_t>& probes = routing.probe_lists[qi];
-      for (size_t s = 0; s < probes.size(); ++s) {
-        const float* crow =
-            index.centroids().Row(static_cast<size_t>(probes[s]));
-        float* table =
-            ctx.luts.data() + (qi * ctx.lut_probes + s) * stride;
-        for (size_t d = 0; d < ctx.b_dim; ++d) {
-          const DimRange r = plan.dim_ranges[d];
-          const ProductQuantizer& q = pq.block(d);
-          if (ctx.use_ip) {
-            q.ComputeLookupTableIp(qrow + r.begin, table + ctx.lut_offset[d]);
-            const float qc = PartialIp(qrow + r.begin, crow + r.begin,
-                                       r.width());
-            float* band0 = table + ctx.lut_offset[d];
-            for (size_t c = 0; c < q.codewords(); ++c) band0[c] += qc;
-          } else {
-            for (size_t k = r.begin; k < r.end; ++k) {
-              qres[k] = qrow[k] - crow[k];
-            }
-            q.ComputeLookupTable(qres.data() + r.begin,
-                                 table + ctx.lut_offset[d]);
-          }
         }
       }
     }
@@ -228,33 +188,43 @@ void BuildChainSliceTable(const ExecContext& ctx, const QueryChain& chain,
           (*ctx.stores)[machine].FindListSlice(shard, d, chain.lists[li]);
     }
   }
-  if (ctx.use_pq) {
-    // Residual codes: resolve each chain list's ADC table — the table of
-    // (query, probe slot, block), with the slot found in the query's probe
-    // order. Laid out in lockstep with `slices` so stages index both the
-    // same way.
-    const std::vector<int32_t>& probes =
-        ctx.routing->probe_lists[static_cast<size_t>(chain.query)];
-    cand->luts.assign(ctx.b_dim * num_lists, nullptr);
-    for (size_t li = 0; li < num_lists; ++li) {
-      size_t slot = probes.size();
-      for (size_t s = 0; s < probes.size(); ++s) {
-        if (probes[s] == chain.lists[li]) {
-          slot = s;
-          break;
-        }
-      }
-      HARMONY_CHECK_MSG(slot < probes.size(),
-                        "chain list missing from the query's probe set");
-      const float* table =
-          ctx.luts.data() +
-          (static_cast<size_t>(chain.query) * ctx.lut_probes + slot) *
-              ctx.lut_stride;
-      for (size_t d = 0; d < ctx.b_dim; ++d) {
-        cand->luts[d * num_lists + li] = table + ctx.lut_offset[d];
-      }
+}
+
+std::shared_ptr<const StageAdcTables> BuildStageAdcTables(
+    const ExecContext& ctx, const QueryChain& chain,
+    const ChainCandidates& cand, size_t d) {
+  const ProductQuantizer& q = ctx.opts->pq->block(d);
+  const DimRange r = ctx.plan->dim_ranges[d];
+  const size_t ksub = q.codewords();
+  const size_t stride = q.num_subspaces() * ksub;
+  const size_t num_lists = chain.lists.size();
+  const ListSlice* const* slices = cand.slices.data() + d * num_lists;
+  const float* qband =
+      ctx.queries->Row(static_cast<size_t>(chain.query)) + r.begin;
+  auto out = std::make_shared<StageAdcTables>();
+  out->values.resize(num_lists * stride);
+  out->tables.assign(num_lists, nullptr);
+  // IP tables differ across lists only by the folded constant, so the
+  // query's table is scored once and copied per list.
+  std::vector<float> scratch(ctx.use_ip ? stride : r.width());
+  if (ctx.use_ip) q.ComputeLookupTableIp(qband, scratch.data());
+  for (size_t li = 0; li < num_lists; ++li) {
+    if (slices[li] == nullptr) continue;
+    const float* cband =
+        ctx.index->centroids().Row(static_cast<size_t>(chain.lists[li])) +
+        r.begin;
+    float* table = out->values.data() + li * stride;
+    if (ctx.use_ip) {
+      const float qc = PartialIp(qband, cband, r.width());
+      for (size_t c = 0; c < ksub; ++c) table[c] = scratch[c] + qc;
+      std::copy(scratch.begin() + ksub, scratch.end(), table + ksub);
+    } else {
+      for (size_t k = 0; k < r.width(); ++k) scratch[k] = qband[k] - cband[k];
+      q.ComputeLookupTable(scratch.data(), table);
     }
+    out->tables[li] = table;
   }
+  return out;
 }
 
 namespace {
@@ -349,9 +319,9 @@ void PrewarmQuery(const ExecContext& ctx, size_t q, TopKHeap* heap,
   if (charge) {
     charge(static_cast<uint64_t>(ctx.index->nlist()) *
            DistanceOpCost(ctx.dim));
-    // The query's ADC lookup tables were materialized at context build; the
-    // work is billed here, per query, where Algorithm 1's per-query prep
-    // happens.
+    // The query's ADC lookup tables are built by the stages that scan
+    // them; the work is billed here, once per query, where Algorithm 1's
+    // per-query prep happens.
     if (ctx.use_pq) charge(ctx.lut_build_ops);
   }
   for (const int32_t list_id : (*ctx.routing).probe_lists[q]) {

@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
+#include "core/block_scan.h"
 #include "core/exec_options.h"
 #include "core/partition.h"
 #include "core/pruning.h"
@@ -95,28 +97,19 @@ struct ExecContext {
   size_t replication = 1;
   bool routed = false;
 
-  /// Quantized block streams (docs/quantization.md). When `use_pq` is on,
-  /// MakeExecContext builds the ADC lookup tables once up front — a pure
-  /// function of (quantizer, index centroids, routing, queries) shared
-  /// read-only by both engines. Codes are coarse-centroid residuals
-  /// (IVFADC), so there is one table per (query, probed list, dim block):
-  /// query q's table for probe slot s and block d starts at
-  /// `luts[(q * lut_probes + s) * lut_stride + lut_offset[d]]` and holds
-  /// M_d * ksub_d floats in subspace-major order (the adc_batch kernel
-  /// layout). For L2 the table is built from the residual query q - c_l;
-  /// for IP it is built from q with the constant block term <q^(d), c_l^(d)>
-  /// folded into subspace 0's entries, so the ADC sum estimates the block's
-  /// true partial either way.
+  /// Quantized block streams (docs/quantization.md). The context holds no
+  /// ADC table: each stage builds block d's tables for its chain's lists
+  /// on the machine that scans them (BuildStageAdcTables, called by
+  /// MakeStageScanParams and by group stages per member) and frees them
+  /// when the stage ends.
   bool use_pq = false;
-  std::vector<float> luts;
-  std::vector<size_t> lut_offset;  // per dim block
-  size_t lut_stride = 0;
-  size_t lut_probes = 0;  // probe slots per query (max over the batch)
   /// IP/cosine only: ||q^(d)|| per (query, block) — `pq_q_norm[q * b_dim +
   /// d]` — the Cauchy–Schwarz factor that turns the per-row quantization
   /// residual into an upper bound on the block's true inner product.
   std::vector<float> pq_q_norm;
-  /// Ops one query's LUT build costs (billed by PrewarmQuery's charge hook).
+  /// Ops one query's LUT build costs (billed by PrewarmQuery's charge hook,
+  /// where the simulator models Algorithm 1's per-query prep; the wall-clock
+  /// build happens in the stages).
   uint64_t lut_build_ops = 0;
 
   /// Tombstone bitset of the batch's store snapshot (copied from the
@@ -178,18 +171,14 @@ Result<ExecContext> MakeExecContext(const IvfIndex& index,
 /// \brief One chain's materialized scan state: the per-(block, list) slice
 /// table plus the candidate SoA arrays that flow through the dimension
 /// stages (pipeline batches / baton hops own ranges of them and compact
-/// survivors in place).
+/// survivors in place). Under PQ streams the chain carries no ADC table:
+/// each stage builds its own from `slices` (BuildStageAdcTables).
 struct ChainCandidates {
   /// slices[d * lists + li]: the slice of chain list li in block d, on the
   /// machine owning grid block (shard, d). Built once per chain at dispatch
   /// (the client holds the routing tables and, in-process, can read every
   /// store), so stages pay neither the lookup nor a per-stage allocation.
   std::vector<const ListSlice*> slices;
-  /// PQ streams only: luts[d * lists + li] is the ADC table of (this chain's
-  /// query, list li, block d) — residual codes make the table per probed
-  /// list, and candidate runs are list-major, so stages resolve one table
-  /// per run. Laid out in lockstep with `slices`; empty when PQ is off.
-  std::vector<const float*> luts;
   std::vector<int64_t> id;
   std::vector<int32_t> list;
   std::vector<int32_t> row;
@@ -208,6 +197,18 @@ struct ChainCandidates {
 /// Fills the chain's per-(block, list) slice table.
 void BuildChainSliceTable(const ExecContext& ctx, const QueryChain& chain,
                           ChainCandidates* cand);
+
+/// PQ streams only: block d's ADC tables for every list of `chain` that has
+/// a slice in the block — a pure function of (quantizer, centroids, query),
+/// so every engine and every rebuild yields the same bits. Codes are
+/// coarse-centroid residuals, so each list gets its own table: for L2 it is
+/// built from the residual query q - c_l; for IP from q, with the constant
+/// block term <q^(d), c_l^(d)> folded into subspace 0's entries, so the ADC
+/// sum estimates the block's true partial either way. Called on the thread
+/// that runs the stage; `cand` supplies the slice table.
+std::shared_ptr<const StageAdcTables> BuildStageAdcTables(
+    const ExecContext& ctx, const QueryChain& chain,
+    const ChainCandidates& cand, size_t d);
 
 /// Reserves every candidate column the chain uses to the row total of its
 /// block-0 slices (and q_block_norm to b_dim under use_norms), so the

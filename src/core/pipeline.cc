@@ -478,11 +478,16 @@ Result<PipelineOutput> ExecuteSimulated(const IvfIndex& index,
         }
       }
       if (opts.rerank_depth > 0 && opts.rerank_depth < picked.size()) {
-        std::sort(picked.begin(), picked.end(),
-                  [&](const std::pair<size_t, size_t>& a,
-                      const std::pair<size_t, size_t>& b) {
-                    return RerankOrderLess(run.cand, use_ip, a.first, b.first);
-                  });
+        // Selection, not a sort: the order is strict and total, and each
+        // batch re-sorts its own picks by index below.
+        std::nth_element(
+            picked.begin(),
+            picked.begin() + static_cast<std::ptrdiff_t>(opts.rerank_depth),
+            picked.end(),
+            [&](const std::pair<size_t, size_t>& a,
+                const std::pair<size_t, size_t>& b) {
+              return RerankOrderLess(run.cand, use_ip, a.first, b.first);
+            });
         picked.resize(opts.rerank_depth);
       }
       std::vector<size_t> pick;

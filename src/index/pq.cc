@@ -40,23 +40,54 @@ Status ProductQuantizer::Train(const DatasetView& data) {
     km.max_iters = params_.train_iters;
     km.seed = params_.seed + m;
     km.use_kmeanspp = ksub <= 64;
+    km.num_threads = params_.num_threads;
     HARMONY_ASSIGN_OR_RETURN(KMeansResult result, TrainKMeans(sub.View(), km));
-    codebooks_[m] = result.centroids.raw();
+    // k-means returns codewords row-major; store them dimension-major.
+    const size_t width = band.width();
+    std::vector<float>& book = codebooks_[m];
+    book.resize(ksub * width);
+    for (size_t c = 0; c < ksub; ++c) {
+      const float* word = result.centroids.Row(c);
+      for (size_t j = 0; j < width; ++j) book[j * ksub + c] = word[j];
+    }
   }
   return Status::OK();
 }
 
+void ProductQuantizer::ScoreBand(size_t m, const float* sub, bool ip,
+                                 float* out) const {
+  const size_t width = bands_[m].width();
+  const size_t ksub = codewords();
+  const float* book = codebooks_[m].data();
+  if (width < kPortableRowWidthCutover) {
+    // Every tier's row kernel is the portable body here, so the
+    // codeword-parallel kernel is bitwise the per-codeword call.
+    if (ip) {
+      portable::IpCodewords(sub, book, width, ksub, out);
+    } else {
+      portable::L2Codewords(sub, book, width, ksub, out);
+    }
+    return;
+  }
+  // Wide bands keep the dispatched row kernel: gather each codeword.
+  const ScanKernelTable& kt = ScanKernels();
+  std::vector<float> word(width);
+  for (size_t c = 0; c < ksub; ++c) {
+    for (size_t j = 0; j < width; ++j) word[j] = book[j * ksub + c];
+    out[c] = ip ? kt.ip_row(sub, word.data(), width)
+                : kt.l2_row(sub, word.data(), width);
+  }
+}
+
 void ProductQuantizer::Encode(const float* vec, uint8_t* code) const {
+  float dist[256];  // codewords() <= 2^8
   for (size_t m = 0; m < params_.num_subspaces; ++m) {
-    const DimRange band = bands_[m];
-    const float* sub = vec + band.begin;
-    const float* book = codebooks_[m].data();
+    ScoreBand(m, vec + bands_[m].begin, /*ip=*/false, dist);
     size_t best = 0;
     float best_dist = std::numeric_limits<float>::max();
     for (size_t c = 0; c < codewords(); ++c) {
-      const float d = L2SqDistance(sub, book + c * band.width(), band.width());
-      if (d < best_dist) {
-        best_dist = d;
+      if (dist[c] < best_dist) {
+        best_dist = dist[c];
         best = c;
       }
     }
@@ -74,38 +105,30 @@ std::vector<uint8_t> ProductQuantizer::EncodeBatch(
 }
 
 void ProductQuantizer::Decode(const uint8_t* code, float* out) const {
+  const size_t ksub = codewords();
   for (size_t m = 0; m < params_.num_subspaces; ++m) {
     const DimRange band = bands_[m];
-    const float* word = codebooks_[m].data() + code[m] * band.width();
-    std::copy(word, word + band.width(), out + band.begin);
+    // Codeword code[m] is column code[m] of the dimension-major book.
+    const float* word = codebooks_[m].data() + code[m];
+    for (size_t j = 0; j < band.width(); ++j) {
+      out[band.begin + j] = word[j * ksub];
+    }
   }
 }
 
 void ProductQuantizer::ComputeLookupTable(const float* query,
                                           float* table) const {
-  const size_t ksub = codewords();
   for (size_t m = 0; m < params_.num_subspaces; ++m) {
-    const DimRange band = bands_[m];
-    const float* sub = query + band.begin;
-    const float* book = codebooks_[m].data();
-    float* row = table + m * ksub;
-    for (size_t c = 0; c < ksub; ++c) {
-      row[c] = L2SqDistance(sub, book + c * band.width(), band.width());
-    }
+    ScoreBand(m, query + bands_[m].begin, /*ip=*/false,
+              table + m * codewords());
   }
 }
 
 void ProductQuantizer::ComputeLookupTableIp(const float* query,
                                             float* table) const {
-  const size_t ksub = codewords();
   for (size_t m = 0; m < params_.num_subspaces; ++m) {
-    const DimRange band = bands_[m];
-    const float* sub = query + band.begin;
-    const float* book = codebooks_[m].data();
-    float* row = table + m * ksub;
-    for (size_t c = 0; c < ksub; ++c) {
-      row[c] = InnerProduct(sub, book + c * band.width(), band.width());
-    }
+    ScoreBand(m, query + bands_[m].begin, /*ip=*/true,
+              table + m * codewords());
   }
 }
 
@@ -166,6 +189,7 @@ Status GridQuantizer::Train(const DatasetView& data,
     pq.bits = bits;
     pq.train_iters = params.train_iters;
     pq.seed = params.seed + 1315423911u * (d + 1);
+    pq.num_threads = params.num_threads;
     ProductQuantizer q(pq);
     HARMONY_RETURN_NOT_OK(q.Train(sub.View()));
     blocks_.push_back(std::move(q));

@@ -19,6 +19,9 @@ struct PqParams {
   size_t bits = 8;           // log2(codewords per subspace), <= 8
   size_t train_iters = 10;
   uint64_t seed = 42;
+  /// k-means worker threads (KMeansParams::num_threads); codebooks are
+  /// bit-identical for every count.
+  size_t num_threads = 1;
 };
 
 /// \brief Product quantizer (Jégou et al.), the lossy-compression
@@ -69,10 +72,18 @@ class ProductQuantizer {
   size_t SizeBytes() const;
 
  private:
+  /// Scores `sub` (band m of a vector) against every codeword of band m
+  /// into `out` (codewords() floats): L2² when `ip` is false, the inner
+  /// product otherwise. Bitwise the per-codeword row kernel at every width.
+  void ScoreBand(size_t m, const float* sub, bool ip, float* out) const;
+
   PqParams params_;
   size_t dim_ = 0;
   std::vector<DimRange> bands_;
-  /// codebooks_[m] is codewords() x band-width, row-major.
+  /// codebooks_[m] is band m's codebook, dimension-major: component j of
+  /// codeword c is codebooks_[m][j * codewords() + c], so one band
+  /// component of every codeword is one contiguous run (the layout the
+  /// codeword-parallel scoring kernel streams).
   std::vector<std::vector<float>> codebooks_;
 };
 
@@ -89,6 +100,9 @@ struct GridPqParams {
   size_t bits = 8;            ///< log2(codewords per subspace), <= 8.
   size_t train_iters = 10;
   uint64_t seed = 42;
+  /// k-means worker threads per subspace; codebooks and codes are
+  /// bit-identical for every count.
+  size_t num_threads = 1;
 };
 
 class GridQuantizer {

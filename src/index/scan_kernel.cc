@@ -155,6 +155,94 @@ void AdcBatch(const float* lut, size_t ksub, const uint8_t* codes,
   }
 }
 
+namespace {
+
+/// One accumulation step `acc + x * y` exactly as the row bodies' `acc +=
+/// x * y` compiles: where the target has an FMA instruction the compilers
+/// contract that statement into one fused operation (GCC contracts it
+/// across statements by default, Clang within the expression), and without
+/// one it is rounded twice. Spelling the choice out keeps the lane kernel
+/// bitwise equal to the row bodies however the vectorizer reshapes its
+/// loops.
+inline float MulAdd(float x, float y, float acc) {
+#if defined(__FP_FAST_FMAF)
+  return std::fma(x, y, acc);
+#else
+  return acc + x * y;
+#endif
+}
+
+/// Scores `n` (<= kLanes) adjacent codewords starting at column `col` of a
+/// dimension-major codebook. Lane l carries L2Row's / IpRow's four
+/// accumulators for its codeword and performs their additions in the row
+/// body's order — four-wide steps, then the scalar tail into acc0, then the
+/// (acc0 + acc1) + (acc2 + acc3) reduction — so each lane's value is bitwise
+/// the row kernel's. The lane loops have no cross-lane dependence, which is
+/// what lets the compiler vectorize them across codewords.
+template <bool kIp, size_t kLanes>
+void CodewordLanes(const float* q, const float* col, size_t width,
+                   size_t ksub, size_t n, float* out) {
+  float acc0[kLanes] = {}, acc1[kLanes] = {}, acc2[kLanes] = {},
+        acc3[kLanes] = {};
+  auto step = [](float a, float b, float acc) {
+    if constexpr (kIp) {
+      return MulAdd(a, b, acc);
+    } else {
+      const float d = a - b;
+      return MulAdd(d, d, acc);
+    }
+  };
+  size_t i = 0;
+  for (; i + 4 <= width; i += 4) {
+    const float q0 = q[i], q1 = q[i + 1], q2 = q[i + 2], q3 = q[i + 3];
+    const float* b0 = col + i * ksub;
+    const float* b1 = b0 + ksub;
+    const float* b2 = b1 + ksub;
+    const float* b3 = b2 + ksub;
+    for (size_t l = 0; l < n; ++l) {
+      acc0[l] = step(q0, b0[l], acc0[l]);
+      acc1[l] = step(q1, b1[l], acc1[l]);
+      acc2[l] = step(q2, b2[l], acc2[l]);
+      acc3[l] = step(q3, b3[l], acc3[l]);
+    }
+  }
+  for (; i < width; ++i) {
+    const float qi = q[i];
+    const float* bi = col + i * ksub;
+    for (size_t l = 0; l < n; ++l) acc0[l] = step(qi, bi[l], acc0[l]);
+  }
+  for (size_t l = 0; l < n; ++l) {
+    out[l] = (acc0[l] + acc1[l]) + (acc2[l] + acc3[l]);
+  }
+}
+
+template <bool kIp>
+void Codewords(const float* q, const float* book, size_t width, size_t ksub,
+               float* out) {
+  constexpr size_t kLanes = 16;
+  size_t c = 0;
+  // Full tiles run with a constant lane count so the lane loops compile to
+  // straight vector code; the last partial tile runs the same body.
+  for (; c + kLanes <= ksub; c += kLanes) {
+    CodewordLanes<kIp, kLanes>(q, book + c, width, ksub, kLanes, out + c);
+  }
+  if (c < ksub) {
+    CodewordLanes<kIp, kLanes>(q, book + c, width, ksub, ksub - c, out + c);
+  }
+}
+
+}  // namespace
+
+void L2Codewords(const float* q, const float* book, size_t width,
+                 size_t ksub, float* out) {
+  Codewords<false>(q, book, width, ksub, out);
+}
+
+void IpCodewords(const float* q, const float* book, size_t width,
+                 size_t ksub, float* out) {
+  Codewords<true>(q, book, width, ksub, out);
+}
+
 }  // namespace portable
 
 namespace {

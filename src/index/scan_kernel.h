@@ -165,7 +165,24 @@ uint64_t PruneMaskIp(const float* partial, const float* rem_p_sq,
                      size_t count, float rem_q_sq, float tau);
 void AdcBatch(const float* lut, size_t ksub, const uint8_t* codes,
               size_t code_size, size_t count, float* out);
+
+/// Codeword-parallel band scoring for product quantizers: for every
+/// codeword c in [0, ksub), `out[c]` is L2Row (IpRow) of `q` against
+/// codeword c, whose component j is `book[j * ksub + c]` (a dimension-major
+/// codebook). Lanes run over codewords and each lane repeats the row body's
+/// exact accumulator sequence, so every value is bitwise the row kernel's.
+/// Every tier's row kernel is this portable body below
+/// kPortableRowWidthCutover, so below it the values equal any tier's
+/// l2_row / ip_row.
+void L2Codewords(const float* q, const float* book, size_t width,
+                 size_t ksub, float* out);
+void IpCodewords(const float* q, const float* book, size_t width,
+                 size_t ksub, float* out);
 }  // namespace portable
+
+/// Row width below which every tier's row, batch and group kernels run the
+/// portable bodies (the historical dispatch cutover).
+inline constexpr size_t kPortableRowWidthCutover = 16;
 
 /// AVX2 kernels, defined in scan_kernel_avx2.cc (compiled with -mavx2;
 /// referenced only when the build carries that TU and the CPU supports

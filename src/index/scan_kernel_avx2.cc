@@ -242,18 +242,18 @@ void BatchByShape(const float* q, const float* rows, size_t count,
 }  // namespace
 
 float L2Row(const float* a, const float* b, size_t width) {
-  if (width < 16) return portable::L2Row(a, b, width);
+  if (width < kPortableRowWidthCutover) return portable::L2Row(a, b, width);
   return RowImpl<false>(a, b, width);
 }
 
 float IpRow(const float* a, const float* b, size_t width) {
-  if (width < 16) return portable::IpRow(a, b, width);
+  if (width < kPortableRowWidthCutover) return portable::IpRow(a, b, width);
   return RowImpl<true>(a, b, width);
 }
 
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
              float* accum, KernelShape shape) {
-  if (width < 16) {
+  if (width < kPortableRowWidthCutover) {
     portable::L2Batch(q, rows, count, width, accum, shape);
     return;
   }
@@ -262,7 +262,7 @@ void L2Batch(const float* q, const float* rows, size_t count, size_t width,
 
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
              float* accum, KernelShape shape) {
-  if (width < 16) {
+  if (width < kPortableRowWidthCutover) {
     portable::IpBatch(q, rows, count, width, accum, shape);
     return;
   }
@@ -389,7 +389,7 @@ void GroupByShape(const float* const* qs, size_t nq, const float* rows,
 void L2Group(const float* const* qs, size_t nq, const float* rows,
              size_t count, size_t width, float* const* accums,
              KernelShape shape) {
-  if (width < 16) {
+  if (width < kPortableRowWidthCutover) {
     portable::L2Group(qs, nq, rows, count, width, accums, shape);
     return;
   }
@@ -399,7 +399,7 @@ void L2Group(const float* const* qs, size_t nq, const float* rows,
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
              size_t count, size_t width, float* const* accums,
              KernelShape shape) {
-  if (width < 16) {
+  if (width < kPortableRowWidthCutover) {
     portable::IpGroup(qs, nq, rows, count, width, accums, shape);
     return;
   }

@@ -335,18 +335,18 @@ void GroupByShape(const float* const* qs, size_t nq, const float* rows,
 }  // namespace
 
 float L2Row(const float* a, const float* b, size_t width) {
-  if (width < 16) return portable::L2Row(a, b, width);
+  if (width < kPortableRowWidthCutover) return portable::L2Row(a, b, width);
   return RowImpl<false>(a, b, width);
 }
 
 float IpRow(const float* a, const float* b, size_t width) {
-  if (width < 16) return portable::IpRow(a, b, width);
+  if (width < kPortableRowWidthCutover) return portable::IpRow(a, b, width);
   return RowImpl<true>(a, b, width);
 }
 
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
              float* accum, KernelShape shape) {
-  if (width < 16) {
+  if (width < kPortableRowWidthCutover) {
     portable::L2Batch(q, rows, count, width, accum, shape);
     return;
   }
@@ -355,7 +355,7 @@ void L2Batch(const float* q, const float* rows, size_t count, size_t width,
 
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
              float* accum, KernelShape shape) {
-  if (width < 16) {
+  if (width < kPortableRowWidthCutover) {
     portable::IpBatch(q, rows, count, width, accum, shape);
     return;
   }
@@ -365,7 +365,7 @@ void IpBatch(const float* q, const float* rows, size_t count, size_t width,
 void L2Group(const float* const* qs, size_t nq, const float* rows,
              size_t count, size_t width, float* const* accums,
              KernelShape shape) {
-  if (width < 16) {
+  if (width < kPortableRowWidthCutover) {
     portable::L2Group(qs, nq, rows, count, width, accums, shape);
     return;
   }
@@ -375,7 +375,7 @@ void L2Group(const float* const* qs, size_t nq, const float* rows,
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
              size_t count, size_t width, float* const* accums,
              KernelShape shape) {
-  if (width < 16) {
+  if (width < kPortableRowWidthCutover) {
     portable::IpGroup(qs, nq, rows, count, width, accums, shape);
     return;
   }

@@ -27,15 +27,19 @@
 #include <bit>
 #include <cinttypes>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <unordered_set>
 #include <vector>
 
+#include "core/chain_exec.h"
 #include "core/coordinator.h"
 #include "core/engine.h"
 #include "core/pipeline.h"
 #include "core/router.h"
 #include "index/kernel_tune.h"
 #include "index/pq.h"
+#include "index/scan_kernel.h"
 #include "net/fault.h"
 #include "test_util.h"
 
@@ -662,6 +666,91 @@ TEST(ExecParityTest, PqDepthCapSpansPipelineBatches) {
             threaded.value().bytes_compressed);
 }
 
+// The rerank depth cap selects its picks instead of sorting every
+// candidate. Partials with many ties stress the id tie-break: at depth 1,
+// 160, count - 1 and count the reranked set and every distance must equal a
+// test-local full-sort reference, bitwise, under L2 and IP.
+TEST(ExecParityTest, RerankSelectionMatchesFullSort) {
+  const SmallWorld world = MakeSmallWorld(2500, 32, 8, 8, 25);
+  const float kInf = std::numeric_limits<float>::infinity();
+  for (const Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    const bool ip = metric != Metric::kL2;
+    SCOPED_TRACE(::testing::Message() << "ip=" << ip);
+    const RunSetup setup = MakeSetup(world, 4, 2, 2, 4, 1, /*with_norms=*/ip,
+                                     /*replication=*/1, /*with_pq=*/true);
+    ExecOptions opts;
+    opts.metric = metric;
+    opts.k = 10;
+    opts.nprobe = 4;
+    opts.use_pq_streams = true;
+    opts.pq = &setup.pq;
+    const DatasetView queries = world.workload.queries.View();  // ctx keeps &
+    auto made = MakeExecContext(world.index, setup.plan, setup.stores,
+                                setup.prewarm, setup.routing, queries, opts);
+    ASSERT_TRUE(made.ok()) << made.status();
+    const ExecContext& ctx = made.value();
+    const ScanKernelTable& kt = ScanKernelsFor(ctx.kernel_tune->tier);
+    const uint64_t scanned = (uint64_t{1} << ctx.b_dim) - 1;
+
+    // The chain with the most candidates.
+    const QueryChain* chain = nullptr;
+    ChainCandidates cand;
+    for (const QueryChain& c : setup.routing.chains) {
+      ChainCandidates cc;
+      BuildChainSliceTable(ctx, c, &cc);
+      BuildChainCandidateArrays(ctx, c, {}, &cc);
+      if (chain == nullptr || cc.id.size() > cand.id.size()) {
+        chain = &c;
+        cand = std::move(cc);
+      }
+    }
+    const size_t n = cand.id.size();
+    ASSERT_GT(n, 161u);
+    for (size_t i = 0; i < n; ++i) {
+      cand.partial[i] = static_cast<float>((i * 7) % 5);  // five-way ties
+    }
+
+    const float* qrow = ctx.queries->Row(static_cast<size_t>(chain->query));
+    for (const size_t depth : {size_t{1}, size_t{160}, n - 1, n}) {
+      SCOPED_TRACE(::testing::Message() << "depth=" << depth);
+      opts.rerank_depth = depth;
+      std::vector<float> got(n);
+      const size_t reranked = RerankChainCandidates(
+          ctx, *chain, cand, scanned, 0, n, /*skip_by_tau=*/false, 0.0f,
+          got.data());
+
+      std::vector<size_t> order(n);
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        const float ka = ip ? -cand.partial[a] : cand.partial[a];
+        const float kb = ip ? -cand.partial[b] : cand.partial[b];
+        return ka != kb ? ka < kb : cand.id[a] < cand.id[b];
+      });
+      order.resize(depth);
+      std::vector<float> want(n, kInf);
+      for (const size_t i : order) {
+        float acc = 0.0f;
+        for (size_t d = 0; d < ctx.b_dim; ++d) {
+          const DimRange r = ctx.plan->dim_ranges[d];
+          const ListSlice* ls =
+              cand.slices[d * chain->lists.size() +
+                          static_cast<size_t>(cand.list[i])];
+          const float* row = ls->slice.Row(static_cast<size_t>(cand.row[i]));
+          acc += ip ? kt.ip_row(qrow + r.begin, row, r.width())
+                    : kt.l2_row(qrow + r.begin, row, r.width());
+        }
+        want[i] = ip ? -acc : acc;
+      }
+      EXPECT_EQ(reranked, depth);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
+                  std::bit_cast<uint32_t>(want[i]))
+            << "candidate " << i;
+      }
+    }
+  }
+}
+
 // Acceptance (ISSUE 5): with 5% drops and one node crashed from the start,
 // R = 2 + failover routing completes every query clean — zero degraded
 // queries and results bitwise equal to the fault-free R = 2 run — on both
@@ -1010,6 +1099,73 @@ TEST(ExecPinnedGoldens, SimulatedDroppyLanes) {
                        0x3f2af95c4a1d4d71ull, 637337ull, 243360ull,
                        1337664ull, 28445ull, 18887ull, 121081140ull};
   PrintAndCheckSim(want, sim.value(), cluster);
+}
+
+// Quantized streams with the rerank depth capped: the ADC tables, the
+// capped pick and the exact rerank all feed these digests, so a change to
+// where the tables are built or how the pick is selected that moves one bit
+// fails here. With pruning on (the defaults) the simulator's full golden is
+// pinned. With pruning off both engines must return the pinned result set:
+// the threaded engine's τ reads follow thread timing, and a capped pick
+// depends on which candidates pruning removed, so only the unpruned run is
+// a deterministic threaded pin. b_dim = 2, so the engines' block orders
+// commute in the ADC sum.
+void CheckPqGoldens(Metric metric, const SimGolden& want_pruned,
+                    uint64_t want_unpruned_results) {
+  const SmallWorld world = MakeSmallWorld(2500, 32, 8, 8, 25);
+  const bool ip = metric != Metric::kL2;
+  const RunSetup setup = MakeSetup(world, 4, 2, 2, 4, /*group_size=*/4,
+                                   /*with_norms=*/ip, /*replication=*/1,
+                                   /*with_pq=*/true);
+  ExecOptions opts;
+  opts.metric = metric;
+  opts.k = 10;
+  opts.nprobe = 4;
+  opts.use_pq_streams = true;
+  opts.pq = &setup.pq;
+  opts.rerank_depth = 32;
+  SimCluster cluster(4);
+  auto sim = ExecuteSimulated(world.index, setup.plan, setup.stores,
+                              setup.prewarm, setup.routing,
+                              world.workload.queries.View(), opts, &cluster);
+  ASSERT_TRUE(sim.ok()) << sim.status();
+  PrintAndCheckSim(want_pruned, sim.value(), cluster);
+
+  ExecOptions unpruned = opts;
+  unpruned.enable_pruning = false;
+  unpruned.dynamic_dim_order = false;
+  unpruned.pipeline_batch = 64;  // several pipeline batches per chain
+  SimCluster unpruned_cluster(4);
+  auto sim_unpruned = ExecuteSimulated(
+      world.index, setup.plan, setup.stores, setup.prewarm, setup.routing,
+      world.workload.queries.View(), unpruned, &unpruned_cluster);
+  ASSERT_TRUE(sim_unpruned.ok()) << sim_unpruned.status();
+  auto thr = ExecuteThreaded(world.index, setup.plan, setup.stores,
+                             setup.prewarm, setup.routing,
+                             world.workload.queries.View(), unpruned);
+  ASSERT_TRUE(thr.ok()) << thr.status();
+  const uint64_t got = ResultChecksum(sim_unpruned.value().results);
+  std::printf("unpruned capture: 0x%016" PRIx64 "ull\n", got);
+  EXPECT_EQ(want_unpruned_results, got);
+  EXPECT_EQ(want_unpruned_results, ResultChecksum(thr.value().results));
+}
+
+TEST(ExecPinnedGoldens, PqL2DepthCapped) {
+  const uint64_t results = ByKernelFamily(0x47bff99d19745987ull,
+                                          0x47bff99d197458a1ull);
+  const SimGolden want{results, 0x3f646e2e345a7591ull, 0x3f646e2e345a7591ull,
+                       1242061ull, 242792ull, 277824ull, 28445ull, 12132ull,
+                       0ull};
+  CheckPqGoldens(Metric::kL2, want, results);
+}
+
+TEST(ExecPinnedGoldens, PqIpDepthCapped) {
+  const uint64_t results = ByKernelFamily(0xbcfec5f46456e9b6ull,
+                                          0xbcfec5f46456ea36ull);
+  const SimGolden want{results, 0x3f64693c4e4bd2d5ull, 0x3f64693c4e4bd2d5ull,
+                       1243807ull, 356876ull, 276736ull, 28445ull, 12120ull,
+                       0ull};
+  CheckPqGoldens(Metric::kInnerProduct, want, results);
 }
 
 }  // namespace

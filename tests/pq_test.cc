@@ -5,10 +5,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <thread>
 
 #include "index/distance.h"
 #include "index/flat_index.h"
+#include "index/scan_kernel.h"
 #include "workload/ground_truth.h"
 #include "workload/synthetic.h"
 
@@ -257,6 +259,143 @@ TEST(GridQuantizerTest, AdcBoundSoundness) {
             << "block " << d << " query " << qi << " row " << i * 7;
       }
     }
+  }
+}
+
+// Codeword c of `q`, band by band: decoding the code that names c in every
+// subspace returns it (a test-local view of the codebook).
+std::vector<float> Codeword(const ProductQuantizer& q, size_t c) {
+  const std::vector<uint8_t> code(q.code_size(), static_cast<uint8_t>(c));
+  std::vector<float> word(q.dim());
+  q.Decode(code.data(), word.data());
+  return word;
+}
+
+// The codeword-parallel kernel against a per-codeword row-kernel loop over
+// a random dimension-major book, bitwise, for every band width below the
+// row kernels' portable cutover and every available tier's row kernel
+// (they all run the portable body there). ksub 37 covers a partial lane
+// tile.
+TEST(CodewordKernelTest, MatchesPerCodewordRowKernelsBitwise) {
+  for (const size_t ksub : {size_t{2}, size_t{16}, size_t{37}, size_t{256}}) {
+    for (size_t width = 1; width < kPortableRowWidthCutover; ++width) {
+      const Dataset book = GenerateUniform(width, ksub, 7 * ksub + width);
+      const Dataset queries = GenerateUniform(3, width, 11 * width + ksub);
+      std::vector<float> l2(ksub), ip(ksub), word(width);
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const float* query = queries.Row(qi);
+        portable::L2Codewords(query, book.Row(0), width, ksub, l2.data());
+        portable::IpCodewords(query, book.Row(0), width, ksub, ip.data());
+        for (const KernelTier tier :
+             {KernelTier::kPortable, KernelTier::kAvx2, KernelTier::kAvx512}) {
+          if (!KernelTierAvailable(tier)) continue;
+          const ScanKernelTable& kt = ScanKernelsFor(tier);
+          for (size_t c = 0; c < ksub; ++c) {
+            for (size_t j = 0; j < width; ++j) word[j] = book.Row(j)[c];
+            ASSERT_EQ(std::bit_cast<uint32_t>(l2[c]),
+                      std::bit_cast<uint32_t>(
+                          kt.l2_row(query, word.data(), width)))
+                << kt.name << " ksub " << ksub << " width " << width
+                << " codeword " << c;
+            ASSERT_EQ(std::bit_cast<uint32_t>(ip[c]),
+                      std::bit_cast<uint32_t>(
+                          kt.ip_row(query, word.data(), width)))
+                << kt.name << " ksub " << ksub << " width " << width
+                << " codeword " << c;
+          }
+        }
+      }
+    }
+  }
+}
+
+// Tables and codes of trained quantizers against a test-local loop that
+// scores each codeword with the dispatched row kernel (what the quantizer
+// computed before its codebooks went dimension-major), bitwise: band widths
+// 1-15 (the codeword-parallel kernel) plus 16 and 20 (the row-kernel path),
+// at 2, 16 and 256 codewords.
+TEST(ProductQuantizerTest, TablesAndCodesMatchPerCodewordLoopBitwise) {
+  const ScanKernelTable& kt = ScanKernels();
+  for (const size_t bits : {size_t{1}, size_t{4}, size_t{8}}) {
+    for (size_t width = 1; width <= 20; ++width) {
+      if (width > 15 && width != 16 && width != 20) continue;
+      const size_t m = 2;
+      const Dataset data = GenerateUniform(300, m * width, 3 * width + bits);
+      ProductQuantizer q(PqParams{.num_subspaces = m, .bits = bits});
+      ASSERT_TRUE(q.Train(data.View()).ok());
+      const size_t ksub = q.codewords();
+      std::vector<std::vector<float>> words;
+      for (size_t c = 0; c < ksub; ++c) words.push_back(Codeword(q, c));
+      std::vector<float> l2(m * ksub), ip(m * ksub);
+      std::vector<uint8_t> code(m);
+      for (size_t i = 0; i < 40; ++i) {
+        const float* vec = data.Row(i * 7);
+        q.ComputeLookupTable(vec, l2.data());
+        q.ComputeLookupTableIp(vec, ip.data());
+        q.Encode(vec, code.data());
+        for (size_t s = 0; s < m; ++s) {
+          const size_t off = s * width;
+          size_t best = 0;
+          float best_dist = std::numeric_limits<float>::max();
+          for (size_t c = 0; c < ksub; ++c) {
+            const float want_l2 =
+                kt.l2_row(vec + off, words[c].data() + off, width);
+            const float want_ip =
+                kt.ip_row(vec + off, words[c].data() + off, width);
+            ASSERT_EQ(std::bit_cast<uint32_t>(l2[s * ksub + c]),
+                      std::bit_cast<uint32_t>(want_l2))
+                << "bits " << bits << " width " << width << " codeword " << c;
+            ASSERT_EQ(std::bit_cast<uint32_t>(ip[s * ksub + c]),
+                      std::bit_cast<uint32_t>(want_ip))
+                << "bits " << bits << " width " << width << " codeword " << c;
+            if (want_l2 < best_dist) {
+              best_dist = want_l2;
+              best = c;
+            }
+          }
+          ASSERT_EQ(code[s], best)
+              << "bits " << bits << " width " << width << " row " << i * 7;
+        }
+      }
+    }
+  }
+}
+
+// k-means is bit-identical for every thread count, so grid training on 1
+// and on 4 threads yields the same codebooks and the same codes.
+TEST(GridQuantizerTest, ThreadCountDoesNotChangeCodebooksOrCodes) {
+  const GaussianMixture mix = PqMixture(3000, 32, 8, 67);
+  const std::vector<DimRange> ranges = {{0, 12}, {12, 32}};
+  GridPqParams p;
+  p.num_subspaces = 8;
+  p.bits = 8;
+  GridQuantizer serial;
+  ASSERT_TRUE(serial.Train(mix.vectors.View(), ranges, p).ok());
+  p.num_threads = 4;
+  GridQuantizer threaded;
+  ASSERT_TRUE(threaded.Train(mix.vectors.View(), ranges, p).ok());
+  ASSERT_EQ(serial.num_blocks(), threaded.num_blocks());
+  for (size_t d = 0; d < serial.num_blocks(); ++d) {
+    const ProductQuantizer& a = serial.block(d);
+    const ProductQuantizer& b = threaded.block(d);
+    ASSERT_EQ(a.code_size(), b.code_size());
+    ASSERT_EQ(a.codewords(), b.codewords());
+    for (size_t c = 0; c < a.codewords(); ++c) {
+      const std::vector<float> wa = Codeword(a, c);
+      const std::vector<float> wb = Codeword(b, c);
+      for (size_t j = 0; j < wa.size(); ++j) {
+        ASSERT_EQ(std::bit_cast<uint32_t>(wa[j]), std::bit_cast<uint32_t>(wb[j]))
+            << "block " << d << " codeword " << c << " component " << j;
+      }
+    }
+    const DimRange r = ranges[d];
+    Dataset cols(mix.vectors.size(), r.width());
+    for (size_t i = 0; i < mix.vectors.size(); ++i) {
+      std::copy(mix.vectors.Row(i) + r.begin, mix.vectors.Row(i) + r.end,
+                cols.MutableRow(i));
+    }
+    EXPECT_EQ(a.EncodeBatch(cols.View()), b.EncodeBatch(cols.View()))
+        << "block " << d;
   }
 }
 
