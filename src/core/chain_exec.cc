@@ -314,7 +314,7 @@ BlockScanParams MakeStageScanParams(const ExecContext& ctx,
   scan.tau = tau;
   scan.rem_q_sq = rem_q_sq;
   scan.q_slice =
-      ctx.queries->Row(static_cast<size_t>(chain.query)) + range.begin;
+      ctx.queries.Row(static_cast<size_t>(chain.query)) + range.begin;
   scan.width = range.width();
   scan.slices = cand.slices.data() + d * chain.lists.size();
   scan.use_batched = ctx.opts->use_batched_kernels;
@@ -350,7 +350,7 @@ size_t RerankChainIndices(const ExecContext& ctx, const QueryChain& chain,
                           float tau, size_t dist_base, float* dist_out) {
   const ScanKernelTable& kt = ScanKernelsFor(ctx.kernel_tune->tier);
   const bool use_ip = ctx.use_ip;
-  const float* qrow = ctx.queries->Row(static_cast<size_t>(chain.query));
+  const float* qrow = ctx.queries.Row(static_cast<size_t>(chain.query));
   const size_t num_lists = chain.lists.size();
   size_t reranked = 0;
   for (size_t j = 0; j < n_pick; ++j) {
@@ -665,7 +665,7 @@ void ChainExecutor::RunGroupStage(std::shared_ptr<GroupExecState> group) {
     ms.slices = member->cand.slices.data() + d * chain.lists.size();
     ms.global_lists = chain.lists.data();
     ms.q_slice =
-        ctx_.queries->Row(static_cast<size_t>(chain.query)) + range.begin;
+        ctx_.queries.Row(static_cast<size_t>(chain.query)) + range.begin;
     ms.prune =
         ctx_.opts->enable_pruning && member->processed > 0 && heap_full;
     ms.tau = tau;

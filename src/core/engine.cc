@@ -333,7 +333,8 @@ Status HarmonyEngine::ReplayUpdates(const UpdateLog& log) {
   return Status::OK();
 }
 
-ExecOptions HarmonyEngine::MakeExecOptions(size_t k, size_t nprobe) const {
+ExecOptions HarmonyEngine::MakeExecOptions(
+    size_t k, size_t nprobe, std::optional<int32_t> allowed_label) const {
   // The single engine->execution conversion point: the shared ExecTuning
   // base carries over wholesale (both structs inherit it), leaving only the
   // fields that genuinely differ between the two layers.
@@ -353,7 +354,23 @@ ExecOptions HarmonyEngine::MakeExecOptions(size_t k, size_t nprobe) const {
     exec.tombstone_words = tombstones_.size();
   }
   exec.store_generation = generation_;
+  if (allowed_label.has_value()) {
+    exec.labels = &labels_;
+    exec.allowed_label = *allowed_label;
+  }
   return exec;
+}
+
+Status HarmonyEngine::CheckFilter(std::optional<int32_t> allowed_label) const {
+  if (!allowed_label.has_value()) return Status::OK();
+  if (labels_.empty()) {
+    return Status::FailedPrecondition("SetLabels() must run before filtering");
+  }
+  if (labels_.size() != IdSpan()) {
+    return Status::FailedPrecondition(
+        "labels are stale: call SetLabels() again after adding vectors");
+  }
+  return Status::OK();
 }
 
 Status HarmonyEngine::SetLabels(std::vector<int32_t> labels) {
@@ -370,31 +387,11 @@ Status HarmonyEngine::SetLabels(std::vector<int32_t> labels) {
   return Status::OK();
 }
 
-Result<BatchResult> HarmonyEngine::SearchBatch(const DatasetView& queries,
-                                               size_t k, size_t nprobe) {
-  return SearchInternal(queries, k, nprobe, nullptr);
-}
-
-Result<BatchResult> HarmonyEngine::SearchBatchFiltered(
+Result<BatchResult> HarmonyEngine::SearchBatch(
     const DatasetView& queries, size_t k, size_t nprobe,
-    int32_t allowed_label) {
-  if (labels_.empty()) {
-    return Status::FailedPrecondition("SetLabels() must run before filtering");
-  }
-  if (labels_.size() != IdSpan()) {
-    return Status::FailedPrecondition(
-        "labels are stale: call SetLabels() again after adding vectors");
-  }
-  ExecOptions exec = MakeExecOptions(k, nprobe);
-  exec.labels = &labels_;
-  exec.allowed_label = allowed_label;
-  return SearchInternal(queries, k, nprobe, &exec);
-}
-
-Result<BatchResult> HarmonyEngine::SearchInternal(const DatasetView& queries,
-                                                  size_t k, size_t nprobe,
-                                                  const ExecOptions* exec_override) {
+    std::optional<int32_t> allowed_label) {
   if (!built_) return Status::FailedPrecondition("Build() must run first");
+  HARMONY_RETURN_NOT_OK(CheckFilter(allowed_label));
   if (queries.empty()) return Status::InvalidArgument("empty query batch");
   if (k == 0 || nprobe == 0) {
     return Status::InvalidArgument("k and nprobe must be > 0");
@@ -428,7 +425,7 @@ Result<BatchResult> HarmonyEngine::SearchInternal(const DatasetView& queries,
     ++repartition_count_;
   }
   last_choice_ = std::move(choice);
-  return ExecuteOnCurrentPlan(queries, k, nprobe, exec_override,
+  return ExecuteOnCurrentPlan(queries, k, nprobe, allowed_label,
                               plan_watch.ElapsedSeconds());
 }
 
@@ -439,19 +436,18 @@ Result<BatchResult> HarmonyEngine::SearchBatchPinned(const DatasetView& queries,
   if (k == 0 || nprobe == 0) {
     return Status::InvalidArgument("k and nprobe must be > 0");
   }
-  return ExecuteOnCurrentPlan(queries, k, nprobe, nullptr,
+  return ExecuteOnCurrentPlan(queries, k, nprobe, std::nullopt,
                               /*plan_seconds=*/0.0);
 }
 
 Result<BatchResult> HarmonyEngine::ExecuteOnCurrentPlan(
     const DatasetView& queries, size_t k, size_t nprobe,
-    const ExecOptions* exec_override, double plan_seconds) {
+    std::optional<int32_t> allowed_label, double plan_seconds) {
   // Acquired once per batch: the whole run executes one generation's stores
   // no matter when a merge lands (the shared_ptr pins the epoch payload).
   HARMONY_ASSIGN_OR_RETURN(const StoreSnapshot snap, AcquireSnapshot());
   SimCluster cluster(effective_machines_, options_.net, options_.machine);
-  const ExecOptions exec =
-      exec_override != nullptr ? *exec_override : MakeExecOptions(k, nprobe);
+  const ExecOptions exec = MakeExecOptions(k, nprobe, allowed_label);
   const BatchRouting routing =
       RouteBatch(index_, plan_, queries, nprobe,
                  exec.shared_scans ? exec.query_group_size : 1);
@@ -503,32 +499,12 @@ Result<BatchResult> HarmonyEngine::ExecuteOnCurrentPlan(
 }
 
 Result<ThreadedOutput> HarmonyEngine::SearchBatchThreaded(
-    const DatasetView& queries, size_t k, size_t nprobe) {
-  if (!built_) return Status::FailedPrecondition("Build() must run first");
-  HARMONY_ASSIGN_OR_RETURN(const StoreSnapshot snap, AcquireSnapshot());
-  const ExecOptions exec = MakeExecOptions(k, nprobe);
-  const BatchRouting routing =
-      RouteBatch(index_, plan_, queries, nprobe,
-                 exec.shared_scans ? exec.query_group_size : 1);
-  return ExecuteThreaded(index_, plan_, *snap.stores, prewarm_, routing,
-                         queries, exec);
-}
-
-Result<ThreadedOutput> HarmonyEngine::SearchBatchThreadedFiltered(
     const DatasetView& queries, size_t k, size_t nprobe,
-    int32_t allowed_label) {
+    std::optional<int32_t> allowed_label) {
   if (!built_) return Status::FailedPrecondition("Build() must run first");
-  if (labels_.empty()) {
-    return Status::FailedPrecondition("SetLabels() must run before filtering");
-  }
-  if (labels_.size() != IdSpan()) {
-    return Status::FailedPrecondition(
-        "labels are stale: call SetLabels() again after adding vectors");
-  }
+  HARMONY_RETURN_NOT_OK(CheckFilter(allowed_label));
   HARMONY_ASSIGN_OR_RETURN(const StoreSnapshot snap, AcquireSnapshot());
-  ExecOptions exec = MakeExecOptions(k, nprobe);
-  exec.labels = &labels_;
-  exec.allowed_label = allowed_label;
+  const ExecOptions exec = MakeExecOptions(k, nprobe, allowed_label);
   const BatchRouting routing =
       RouteBatch(index_, plan_, queries, nprobe,
                  exec.shared_scans ? exec.query_group_size : 1);

@@ -2,6 +2,7 @@
 #define HARMONY_CORE_ENGINE_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/coordinator.h"
@@ -173,8 +174,13 @@ class HarmonyEngine {
 
   /// Executes one query batch on the simulated cluster and returns exact
   /// (pruning-safe) approximate-search results plus full instrumentation.
-  Result<BatchResult> SearchBatch(const DatasetView& queries, size_t k,
-                                  size_t nprobe);
+  /// With `allowed_label`, only vectors carrying that label qualify: the
+  /// predicate is pushed down into the first dimension stage on each
+  /// machine, so filtered-out vectors cost one label test instead of a
+  /// distance computation. Filtering requires SetLabels().
+  Result<BatchResult> SearchBatch(
+      const DatasetView& queries, size_t k, size_t nprobe,
+      std::optional<int32_t> allowed_label = std::nullopt);
 
   /// Like SearchBatch but skips the per-batch cost-model re-plan and runs on
   /// the currently-materialized partition plan, mirroring how
@@ -186,26 +192,12 @@ class HarmonyEngine {
   Result<BatchResult> SearchBatchPinned(const DatasetView& queries, size_t k,
                                         size_t nprobe);
 
-  /// Like SearchBatch but only vectors whose label equals `allowed_label`
-  /// qualify — the predicate is pushed down into the first dimension stage
-  /// on each machine, so filtered-out vectors cost one label test instead
-  /// of a distance computation. Requires SetLabels().
-  Result<BatchResult> SearchBatchFiltered(const DatasetView& queries, size_t k,
-                                          size_t nprobe,
-                                          int32_t allowed_label);
-
   /// Executes the same pipeline on real threads (functional validation /
   /// actual in-process deployment). Uses the current plan without
-  /// re-planning.
-  Result<ThreadedOutput> SearchBatchThreaded(const DatasetView& queries,
-                                             size_t k, size_t nprobe);
-
-  /// Filtered search on the threaded engine: the SearchBatchFiltered
-  /// predicate push-down combined with real-thread execution (and, under a
-  /// fault plan, degraded mode). Requires SetLabels().
-  Result<ThreadedOutput> SearchBatchThreadedFiltered(const DatasetView& queries,
-                                                     size_t k, size_t nprobe,
-                                                     int32_t allowed_label);
+  /// re-planning. `allowed_label` filters as in SearchBatch.
+  Result<ThreadedOutput> SearchBatchThreaded(
+      const DatasetView& queries, size_t k, size_t nprobe,
+      std::optional<int32_t> allowed_label = std::nullopt);
 
   /// Index storage accounting (Table 4): stored bytes per machine etc.
   MemoryStats IndexMemory() const;
@@ -248,15 +240,18 @@ class HarmonyEngine {
   /// use_pq_streams is off. Runs before worker stores materialize so they
   /// can encode code streams.
   Status TrainQuantizer(const PartitionPlan& plan);
-  ExecOptions MakeExecOptions(size_t k, size_t nprobe) const;
-  Result<BatchResult> SearchInternal(const DatasetView& queries, size_t k,
-                                     size_t nprobe, const ExecOptions* exec);
-  /// The execution half of SearchInternal: routes and runs `queries` on the
+  /// `allowed_label` sets the label filter; callers check it first with
+  /// CheckFilter.
+  ExecOptions MakeExecOptions(
+      size_t k, size_t nprobe,
+      std::optional<int32_t> allowed_label = std::nullopt) const;
+  /// The SetLabels preconditions of a filtered search (OK when unfiltered).
+  Status CheckFilter(std::optional<int32_t> allowed_label) const;
+  /// The execution half of SearchBatch: routes and runs `queries` on the
   /// simulated cluster using the current plan, no re-planning.
-  Result<BatchResult> ExecuteOnCurrentPlan(const DatasetView& queries,
-                                           size_t k, size_t nprobe,
-                                           const ExecOptions* exec,
-                                           double plan_seconds);
+  Result<BatchResult> ExecuteOnCurrentPlan(
+      const DatasetView& queries, size_t k, size_t nprobe,
+      std::optional<int32_t> allowed_label, double plan_seconds);
 
   HarmonyOptions options_;
   size_t effective_machines_ = 1;

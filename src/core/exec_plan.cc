@@ -75,7 +75,7 @@ Result<ExecContext> MakeExecContext(const IvfIndex& index,
   ctx.stores = &stores;
   ctx.prewarm = &prewarm;
   ctx.routing = &routing;
-  ctx.queries = &queries;
+  ctx.queries = queries;
   ctx.opts = &opts;
   ctx.b_dim = plan.num_dim_blocks;
   ctx.dim = index.dim();
@@ -200,7 +200,7 @@ std::shared_ptr<const StageAdcTables> BuildStageAdcTables(
   const size_t num_lists = chain.lists.size();
   const ListSlice* const* slices = cand.slices.data() + d * num_lists;
   const float* qband =
-      ctx.queries->Row(static_cast<size_t>(chain.query)) + r.begin;
+      ctx.queries.Row(static_cast<size_t>(chain.query)) + r.begin;
   auto out = std::make_shared<StageAdcTables>();
   out->values.resize(num_lists * stride);
   out->tables.assign(num_lists, nullptr);
@@ -302,7 +302,7 @@ void BuildChainCandidateArrays(const ExecContext& ctx, const QueryChain& chain,
 
 void ComputeQueryBlockNorms(const ExecContext& ctx, const QueryChain& chain,
                             ChainCandidates* cand) {
-  const float* qrow = ctx.queries->Row(static_cast<size_t>(chain.query));
+  const float* qrow = ctx.queries.Row(static_cast<size_t>(chain.query));
   cand->q_block_norm.resize(ctx.b_dim);
   for (size_t d = 0; d < ctx.b_dim; ++d) {
     const DimRange r = ctx.plan->dim_ranges[d];
@@ -344,7 +344,7 @@ void PrewarmQuery(const ExecContext& ctx, size_t q, TopKHeap* heap,
         continue;
       }
       const float d =
-          Distance(opts.metric, ctx.queries->Row(q), vecs.Row(i), ctx.dim);
+          Distance(opts.metric, ctx.queries.Row(q), vecs.Row(i), ctx.dim);
       heap->Push(ids[i], d);
       prewarmed->insert(ids[i]);
     }

@@ -72,7 +72,9 @@ struct ExecContext {
   const std::vector<WorkerStore>* stores = nullptr;
   const PrewarmCache* prewarm = nullptr;
   const BatchRouting* routing = nullptr;
-  const DatasetView* queries = nullptr;
+  /// The batch's queries, held by value (a view: one pointer, two sizes),
+  /// so a context never outlives a temporary view its caller passed in.
+  DatasetView queries;
   const ExecOptions* opts = nullptr;
 
   size_t b_dim = 0;
@@ -160,6 +162,8 @@ struct ExecContext {
 /// the 64-block lost-mask limit, fault-plan probabilities and multipliers,
 /// replication-factor bounds) and resolves the derived facts. Engine glue
 /// keeps its substrate-specific checks (cluster size, store count).
+/// The context borrows `routing` and `opts`: both must outlive it, so the
+/// overloads below reject temporaries at compile time.
 Result<ExecContext> MakeExecContext(const IvfIndex& index,
                                     const PartitionPlan& plan,
                                     const std::vector<WorkerStore>& stores,
@@ -167,6 +171,16 @@ Result<ExecContext> MakeExecContext(const IvfIndex& index,
                                     const BatchRouting& routing,
                                     const DatasetView& queries,
                                     const ExecOptions& opts);
+Result<ExecContext> MakeExecContext(const IvfIndex&, const PartitionPlan&,
+                                    const std::vector<WorkerStore>&,
+                                    const PrewarmCache&, const BatchRouting&&,
+                                    const DatasetView&,
+                                    const ExecOptions&) = delete;
+Result<ExecContext> MakeExecContext(const IvfIndex&, const PartitionPlan&,
+                                    const std::vector<WorkerStore>&,
+                                    const PrewarmCache&, const BatchRouting&,
+                                    const DatasetView&,
+                                    const ExecOptions&&) = delete;
 
 /// \brief One chain's materialized scan state: the per-(block, list) slice
 /// table plus the candidate SoA arrays that flow through the dimension

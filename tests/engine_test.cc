@@ -307,7 +307,7 @@ TEST(EngineTest, FilteredSearchHonorsLabels) {
   ASSERT_TRUE(engine.SetLabels(labels).ok());
 
   auto result =
-      engine.SearchBatchFiltered(world.workload.queries.View(), 10, 8, 1);
+      engine.SearchBatch(world.workload.queries.View(), 10, 8, 1);
   ASSERT_TRUE(result.ok()) << result.status();
   for (size_t q = 0; q < 15; ++q) {
     ASSERT_FALSE(result.value().results[q].empty());
@@ -341,8 +341,12 @@ TEST(EngineTest, FilteredSearchValidation) {
   SmallWorld world = MakeSmallWorld(1000, 16, 4, 8, 5);
   HarmonyEngine engine(BaseOptions(Mode::kHarmony));
   ASSERT_TRUE(engine.Build(world.mixture.vectors.View()).ok());
-  // Filtering before SetLabels fails.
-  EXPECT_EQ(engine.SearchBatchFiltered(world.workload.queries.View(), 5, 2, 0)
+  // Filtering before SetLabels fails, on both engines.
+  EXPECT_EQ(engine.SearchBatch(world.workload.queries.View(), 5, 2, 0)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.SearchBatchThreaded(world.workload.queries.View(), 5, 2, 0)
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
@@ -354,7 +358,11 @@ TEST(EngineTest, FilteredSearchValidation) {
       engine.SetLabels(std::vector<int32_t>(1000, 0)).ok());
   Dataset more(4, 16);
   ASSERT_TRUE(engine.InsertVectors(more.View()).ok());
-  EXPECT_EQ(engine.SearchBatchFiltered(world.workload.queries.View(), 5, 2, 0)
+  EXPECT_EQ(engine.SearchBatch(world.workload.queries.View(), 5, 2, 0)
+                .status()
+                .code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.SearchBatchThreaded(world.workload.queries.View(), 5, 2, 0)
                 .status()
                 .code(),
             StatusCode::kFailedPrecondition);
@@ -366,7 +374,7 @@ TEST(EngineTest, FilteredSearchNoMatchesGivesEmptyResults) {
   ASSERT_TRUE(engine.Build(world.mixture.vectors.View()).ok());
   ASSERT_TRUE(engine.SetLabels(std::vector<int32_t>(1000, 7)).ok());
   auto result =
-      engine.SearchBatchFiltered(world.workload.queries.View(), 5, 2, 99);
+      engine.SearchBatch(world.workload.queries.View(), 5, 2, 99);
   ASSERT_TRUE(result.ok());
   for (const auto& neighbors : result.value().results) {
     EXPECT_TRUE(neighbors.empty());

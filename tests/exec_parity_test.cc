@@ -684,9 +684,10 @@ TEST(ExecParityTest, RerankSelectionMatchesFullSort) {
     opts.nprobe = 4;
     opts.use_pq_streams = true;
     opts.pq = &setup.pq;
-    const DatasetView queries = world.workload.queries.View();  // ctx keeps &
+    // A temporary queries view is safe: the context holds it by value.
     auto made = MakeExecContext(world.index, setup.plan, setup.stores,
-                                setup.prewarm, setup.routing, queries, opts);
+                                setup.prewarm, setup.routing,
+                                world.workload.queries.View(), opts);
     ASSERT_TRUE(made.ok()) << made.status();
     const ExecContext& ctx = made.value();
     const ScanKernelTable& kt = ScanKernelsFor(ctx.kernel_tune->tier);
@@ -710,7 +711,7 @@ TEST(ExecParityTest, RerankSelectionMatchesFullSort) {
       cand.partial[i] = static_cast<float>((i * 7) % 5);  // five-way ties
     }
 
-    const float* qrow = ctx.queries->Row(static_cast<size_t>(chain->query));
+    const float* qrow = ctx.queries.Row(static_cast<size_t>(chain->query));
     for (const size_t depth : {size_t{1}, size_t{160}, n - 1, n}) {
       SCOPED_TRACE(::testing::Message() << "depth=" << depth);
       opts.rerank_depth = depth;

@@ -327,9 +327,9 @@ TEST(SharedScanThreadedTest, FilteredDegradedSearchMatchesSim) {
   engine.SetParallelism(/*threads_per_node=*/4, /*query_group_size=*/4,
                         /*shared_scans=*/true);
 
-  auto sim = engine.SearchBatchFiltered(world.workload.queries.View(), 10, 4,
-                                        /*allowed_label=*/1);
-  auto thr = engine.SearchBatchThreadedFiltered(
+  auto sim = engine.SearchBatch(world.workload.queries.View(), 10, 4,
+                                /*allowed_label=*/1);
+  auto thr = engine.SearchBatchThreaded(
       world.workload.queries.View(), 10, 4, /*allowed_label=*/1);
   ASSERT_TRUE(sim.ok()) << sim.status();
   ASSERT_TRUE(thr.ok()) << thr.status();
