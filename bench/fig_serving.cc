@@ -53,29 +53,6 @@ std::vector<Row>& Rows() {
   return rows;
 }
 
-/// One calibrated serving policy per engine: est_query_seconds comes from a
-/// warm-up group on the virtual clock (deterministic), so the admission
-/// estimates track the simulated cost model.
-ServePolicy CalibratedPolicy(const BenchWorld& world, HarmonyEngine* engine,
-                             size_t k, size_t nprobe) {
-  const size_t probe = std::min<size_t>(kMaxQueryGroup,
-                                        world.data.workload.queries.size());
-  DatasetView sample(world.data.workload.queries.Row(0), probe,
-                     world.data.workload.queries.dim());
-  auto warm = engine->SearchBatchPinned(sample, k, nprobe);
-  HARMONY_CHECK_MSG(warm.ok(), warm.status().ToString());
-  const double group_seconds = warm.value().stats.makespan_seconds;
-
-  ServePolicy policy;
-  policy.est_query_seconds = group_seconds / static_cast<double>(probe);
-  policy.est_dispatch_seconds = 0.1 * group_seconds;
-  policy.max_linger_seconds = 2.0 * policy.est_query_seconds;
-  policy.executors = 2;
-  policy.max_pending_groups = 8;
-  policy.mailbox_capacity = 64;
-  return policy;
-}
-
 void ServingPoint(benchmark::State& state, const std::string& dataset,
                   bool threaded, double load_factor, size_t num_queries) {
   constexpr size_t kMachines = 4;
@@ -88,7 +65,10 @@ void ServingPoint(benchmark::State& state, const std::string& dataset,
   sopts.k = kK;
   sopts.nprobe = kNprobe;
   sopts.degraded_nprobe = 2;
-  sopts.policy = CalibratedPolicy(world, engine, kK, kNprobe);
+  auto policy = CalibrateServePolicy(
+      engine, world.data.workload.queries.View(), kK, kNprobe);
+  HARMONY_CHECK_MSG(policy.ok(), policy.status().ToString());
+  sopts.policy = policy.value();
   const double capacity_qps = static_cast<double>(sopts.policy.executors) /
                               sopts.policy.est_query_seconds;
 

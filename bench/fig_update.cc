@@ -55,29 +55,6 @@ std::vector<Row>& Rows() {
   return rows;
 }
 
-/// Calibrate admission estimates from one pinned warm-up batch on the
-/// virtual clock (same idiom as fig_serving) so the offered load is an
-/// honest multiple of simulated capacity.
-ServePolicy CalibratedPolicy(const BenchWorld& world, HarmonyEngine* engine,
-                             size_t k, size_t nprobe) {
-  const size_t probe = std::min<size_t>(kMaxQueryGroup,
-                                        world.data.workload.queries.size());
-  DatasetView sample(world.data.workload.queries.Row(0), probe,
-                     world.data.workload.queries.dim());
-  auto warm = engine->SearchBatchPinned(sample, k, nprobe);
-  HARMONY_CHECK_MSG(warm.ok(), warm.status().ToString());
-  const double group_seconds = warm.value().stats.makespan_seconds;
-
-  ServePolicy policy;
-  policy.est_query_seconds = group_seconds / static_cast<double>(probe);
-  policy.est_dispatch_seconds = 0.1 * group_seconds;
-  policy.max_linger_seconds = 2.0 * policy.est_query_seconds;
-  policy.executors = 2;
-  policy.max_pending_groups = 8;
-  policy.mailbox_capacity = 64;
-  return policy;
-}
-
 /// recall@10 of a pinned batch against exact ground truth over the live
 /// set. Ground-truth row indices are remapped through `live_ids` back to
 /// global ids before comparison.
@@ -114,7 +91,10 @@ void UpdatePoint(benchmark::State& state, const std::string& dataset,
   sopts.k = kK;
   sopts.nprobe = kNprobe;
   sopts.degraded_nprobe = 2;
-  sopts.policy = CalibratedPolicy(world, engine.get(), kK, kNprobe);
+  auto policy = CalibrateServePolicy(
+      engine.get(), world.data.workload.queries.View(), kK, kNprobe);
+  HARMONY_CHECK_MSG(policy.ok(), policy.status().ToString());
+  sopts.policy = policy.value();
   const double capacity_qps = static_cast<double>(sopts.policy.executors) /
                               sopts.policy.est_query_seconds;
 

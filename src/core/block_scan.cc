@@ -298,33 +298,14 @@ struct ListWork {
   std::vector<ListSeg> segs;
 };
 
-BlockScanParams MemberParams(const GroupScanParams& p,
-                             const GroupMemberScan& m) {
-  BlockScanParams mp;
-  mp.metric = p.metric;
-  mp.use_norms = p.use_norms;
-  mp.prune = m.prune;
-  mp.tau = m.tau;
-  mp.rem_q_sq = m.rem_q_sq;
-  mp.q_slice = m.q_slice;
-  mp.width = p.width;
-  mp.slices = m.slices;
-  mp.use_batched = p.use_batched;
-  mp.luts = m.luts;
-  mp.ksub = p.ksub;
-  mp.code_size = p.code_size;
-  mp.q_band_norm = m.q_band_norm;
-  mp.dispatch = p.dispatch;
-  return mp;
-}
-
 }  // namespace
 
-uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
-                        size_t num_members) {
+uint64_t ScanBlockGroup(GroupMemberScan* members, size_t num_members) {
+  if (num_members == 0) return 0;
+  const BlockScanParams& p = members[0].params;
   const bool use_ip = p.metric != Metric::kL2;
-  const uint64_t row_bytes =
-      p.use_pq ? p.code_size : p.width * sizeof(float);
+  const bool use_pq = p.luts != nullptr;
+  const uint64_t row_bytes = use_pq ? p.code_size : p.width * sizeof(float);
   if (!p.use_batched) {
     // Reference mode: solo reference scans, one per member. No sharing, so
     // every survivor streams its own row.
@@ -332,7 +313,7 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
     for (size_t m = 0; m < num_members; ++m) {
       GroupMemberScan& mem = members[m];
       mem.survivors = ScanBlockReference(
-          MemberParams(p, mem), 0, mem.count, mem.id, mem.list, mem.row,
+          mem.params, 0, mem.count, mem.id, mem.list, mem.row,
           mem.partial, mem.rem_p_sq, mem.bound, &mem.counters);
       bytes += static_cast<uint64_t>(mem.survivors) * row_bytes;
     }
@@ -342,9 +323,9 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
   // Pass 1: per-member prune-compaction, each against its own tau.
   for (size_t m = 0; m < num_members; ++m) {
     GroupMemberScan& mem = members[m];
-    if (mem.prune) {
+    if (mem.params.prune) {
       mem.survivors =
-          PruneCompact(MemberParams(p, mem), 0, mem.count, mem.id, mem.list,
+          PruneCompact(mem.params, 0, mem.count, mem.id, mem.list,
                        mem.row, mem.partial, mem.rem_p_sq, mem.bound,
                        &mem.counters);
     } else {
@@ -352,7 +333,7 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
     }
     mem.counters.ops +=
         static_cast<uint64_t>(mem.survivors) *
-        DistanceOpCost(p.use_pq ? p.code_size : p.width);
+        DistanceOpCost(use_pq ? p.code_size : p.width);
   }
 
   // Segment discovery: survivors are list-major, so each member contributes
@@ -367,7 +348,7 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
       const size_t b = j;
       while (j < mem.survivors && mem.list[j] == li) ++j;
       const int32_t gl = mem.global_lists[static_cast<size_t>(li)];
-      const ListSlice* ls = mem.slices[static_cast<size_t>(li)];
+      const ListSlice* ls = mem.params.slices[static_cast<size_t>(li)];
       HARMONY_CHECK_MSG(ls != nullptr, "missing list slice on machine");
       ListWork* work = nullptr;
       for (ListWork& lw : lists) {
@@ -424,7 +405,7 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
           len = std::min(len, static_cast<size_t>(r - rmin));
         }
       }
-      if (p.use_pq) {
+      if (use_pq) {
         // The code tile is streamed once for the subset; per member the
         // ADC accumulation is the solo ScanCodeRun sequence (each member
         // has its own LUT, so there is no cross-query ADC kernel — the
@@ -434,8 +415,8 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
           // The segment's member-local list id selects the member's
           // residual ADC table for this list (constant across the segment).
           const float* lut =
-              mem.luts[static_cast<size_t>(mem.list[active[s]->cursor])];
-          ScanCodeRun(MemberParams(p, mem), use_ip, lw.ls, lut,
+              mem.params.luts[static_cast<size_t>(mem.list[active[s]->cursor])];
+          ScanCodeRun(mem.params, use_ip, lw.ls, lut,
                       static_cast<size_t>(rmin), len,
                       mem.partial + active[s]->cursor,
                       mem.rem_p_sq == nullptr
@@ -458,14 +439,14 @@ uint64_t ScanBlockGroup(const GroupScanParams& p, GroupMemberScan* members,
           const GroupMemberScan& mem = members[active[0]->member];
           float* acc = mem.partial + active[0]->cursor;
           if (use_ip) {
-            kt.ip_batch(mem.q_slice, rows, len, p.width, acc, shape);
+            kt.ip_batch(mem.params.q_slice, rows, len, p.width, acc, shape);
           } else {
-            kt.l2_batch(mem.q_slice, rows, len, p.width, acc, shape);
+            kt.l2_batch(mem.params.q_slice, rows, len, p.width, acc, shape);
           }
         } else {
           for (size_t s = 0; s < ns; ++s) {
             const GroupMemberScan& mem = members[active[s]->member];
-            qs[s] = mem.q_slice;
+            qs[s] = mem.params.q_slice;
             accums[s] = mem.partial + active[s]->cursor;
           }
           if (use_ip) {

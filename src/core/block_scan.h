@@ -98,46 +98,24 @@ size_t ScanBlock(const BlockScanParams& params, size_t begin, size_t count,
                  int64_t* id, int32_t* list, int32_t* row, float* partial,
                  float* rem_p_sq, float* bound, BlockScanCounters* counters);
 
-/// Stage-wide parameters shared by every member of a query-group scan.
-struct GroupScanParams {
-  Metric metric = Metric::kL2;
-  bool use_norms = false;
-  size_t width = 0;
-  /// Batched kernel path (true) vs historical per-candidate reference.
-  bool use_batched = true;
-  /// Quantized streams: on when the members carry per-query LUTs. All
-  /// members scan the same dimension block, so the code geometry is shared.
-  bool use_pq = false;
-  size_t ksub = 0;
-  size_t code_size = 0;
-  /// Resolved kernel dispatch (see BlockScanParams::dispatch); required.
-  KernelDispatch dispatch;
-};
-
-/// One member of a query-group shared scan: the member's candidate arrays
-/// (same list-major SoA layout and in-place compaction as ScanBlock) plus
-/// its per-query prune state. `list` values are member-local probe indices;
-/// `global_lists[li]` maps them to batch-wide IVF list ids, which is how
-/// co-probing members are matched onto the same slice. `slices` is indexed
-/// by the local values; co-probing members resolve to the *same* ListSlice.
+/// One member of a query-group shared scan: the member's scan parameters —
+/// exactly what a solo ScanBlock of its candidates takes (per-query τ, prune
+/// gate, query slice, slice table, ADC tables) — plus its candidate arrays
+/// (same list-major SoA layout and in-place compaction as ScanBlock).
+/// `list` values are member-local probe indices; `global_lists[li]` maps
+/// them to batch-wide IVF list ids, which is how co-probing members are
+/// matched onto the same slice (`params.slices` is indexed by the local
+/// values; co-probing members resolve to the *same* ListSlice).
 struct GroupMemberScan {
+  BlockScanParams params;
   int64_t* id = nullptr;
   int32_t* list = nullptr;
   int32_t* row = nullptr;
   float* partial = nullptr;
-  float* rem_p_sq = nullptr;  ///< May be null when !use_norms.
-  float* bound = nullptr;     ///< PQ prune-bound column; null when !use_pq.
-  /// This member's per-local-list ADC tables (residual codes); null when
-  /// !use_pq. Indexed by the member's `list` values, like `slices`.
-  const float* const* luts = nullptr;
-  float q_band_norm = 0.0f;    ///< IP only: ||q^(d)||.
+  float* rem_p_sq = nullptr;  ///< May be null when !params.use_norms.
+  float* bound = nullptr;     ///< PQ prune-bound column; null off PQ.
   size_t count = 0;
-  const ListSlice* const* slices = nullptr;
   const int32_t* global_lists = nullptr;
-  const float* q_slice = nullptr;
-  bool prune = false;
-  float tau = 0.0f;
-  float rem_q_sq = 0.0f;
   /// Outputs: survivor count (arrays compacted to [0, survivors)) and the
   /// member's op/prune charges, identical to a solo ScanBlock of the same
   /// candidates.
@@ -153,9 +131,11 @@ struct GroupMemberScan {
 /// and each tile's rows are streamed from memory once for all members that
 /// want them (query-tiled group kernels) instead of once per member.
 /// Returns the bytes of row data streamed, each tile counted once — float
-/// row bytes normally, code-stream bytes under PQ streams.
-uint64_t ScanBlockGroup(const GroupScanParams& params,
-                        GroupMemberScan* members, size_t num_members);
+/// row bytes normally, code-stream bytes under PQ streams. Every member
+/// scans the same dimension block, so the stage-wide parameter fields
+/// (metric, norms, width, kernel path and dispatch, code geometry) are read
+/// from the first member.
+uint64_t ScanBlockGroup(GroupMemberScan* members, size_t num_members);
 
 }  // namespace harmony
 

@@ -9,7 +9,6 @@
 
 #include "index/pq.h"
 #include "index/scan_kernel.h"
-#include "util/logging.h"
 
 namespace harmony {
 
@@ -28,21 +27,36 @@ void KeepSurvivors(const ExecContext& ctx, size_t w, ChainCandidates* cand) {
 
 }  // namespace
 
-StageScanOutcome ExecBackend::ScanStage(const ExecContext& ctx,
-                                        const QueryChain& /*chain*/,
-                                        size_t /*d*/, size_t machine,
-                                        const BlockScanParams& scan,
-                                        ChainCandidates* cand) {
-  BlockScanCounters counters;
-  const size_t w = ScanBlock(
-      scan, 0, cand->id.size(), cand->id.data(), cand->list.data(),
-      cand->row.data(), cand->partial.data(),
-      ctx.use_norms ? cand->rem_p_sq.data() : nullptr,
-      ctx.use_pq ? cand->bound.data() : nullptr, &counters);
-  KeepSurvivors(ctx, w, cand);
-  StageScanOutcome out;
-  out.machine = machine;
-  return out;
+uint64_t ExecBackend::ScanStage(const ExecContext& ctx, size_t /*d*/,
+                               size_t /*machine*/,
+                               std::vector<StageMember>* members) {
+  std::vector<GroupMemberScan> scans(members->size());
+  for (size_t i = 0; i < scans.size(); ++i) {
+    StageMember& m = (*members)[i];
+    ChainCandidates& cand = *m.cand;
+    GroupMemberScan& ms = scans[i];
+    ms.params = std::move(m.scan);
+    ms.id = cand.id.data();
+    ms.list = cand.list.data();
+    ms.row = cand.row.data();
+    ms.partial = cand.partial.data();
+    ms.rem_p_sq = ctx.use_norms ? cand.rem_p_sq.data() : nullptr;
+    ms.bound = ctx.use_pq ? cand.bound.data() : nullptr;
+    ms.count = cand.id.size();
+    ms.global_lists = m.chain->lists.data();
+  }
+  const uint64_t bytes = ScanBlockGroup(scans.data(), scans.size());
+  for (size_t i = 0; i < scans.size(); ++i) {
+    KeepSurvivors(ctx, scans[i].survivors, (*members)[i].cand);
+  }
+  return bytes;
+}
+
+uint32_t ExecBackend::PostHop(size_t machine, uint64_t /*msg_key*/,
+                              uint32_t /*max_retries*/,
+                              std::function<void()> stage) {
+  PostStage(machine, std::move(stage));
+  return 1;
 }
 
 ChainLossSchedule ComputeChainSchedule(const ExecContext& ctx,
@@ -514,32 +528,6 @@ bool ChainExecutor::ApplyGroupMemberLoss(ChainExecState* task) const {
   return false;
 }
 
-bool ChainExecutor::BuildSoloOrder(ChainExecState* task,
-                                   size_t chain_index) const {
-  const QueryChain& chain = *task->chain;
-  task->order = BuildStaticBlockOrder(ctx_.b_dim, chain_index,
-                                      ctx_.opts->enable_pipeline);
-  if (!ctx_.routed) return false;
-  task->sched = ComputeChainSchedule(ctx_, chain);
-  if (!ctx_.faulty) return false;  // Routed-but-healthy: nothing can be lost.
-  const ChainLossSchedule& loss = task->sched;
-  // Strip statically lost blocks, preserving the rotation order of the
-  // survivors.
-  size_t kept = 0;
-  for (const size_t d : task->order) {
-    if ((loss.lost_mask >> d) & 1) continue;
-    task->order[kept++] = d;
-  }
-  task->order.resize(kept);
-  ledger_->BookStaticChainLoss(loss, chain.query, ctx_.max_retries);
-  if (task->order.empty() || loss.result_hop_lost) {
-    if (loss.result_hop_lost) ledger_->BookLostMessage(ctx_.max_retries);
-    ledger_->BookShardLost(chain.query);
-    return true;
-  }
-  return false;
-}
-
 std::vector<size_t> ChainExecutor::MakeGroupOrder(
     size_t anchor_chain_index) const {
   return BuildStaticBlockOrder(ctx_.b_dim, anchor_chain_index,
@@ -580,24 +568,6 @@ bool ChainExecutor::PostGroupStageFrom(std::shared_ptr<GroupExecState> group,
   return false;
 }
 
-void ChainExecutor::PostFirstSoloHop(
-    const std::shared_ptr<ChainExecState>& task) {
-  const QueryChain& chain = *task->chain;
-  const size_t d0 = task->order[0];
-  const size_t r0 = HopReplica(*task, d0);
-  const size_t machine = static_cast<size_t>(
-      ctx_.plan->ReplicaOf(static_cast<size_t>(chain.shard), d0, r0));
-  const uint32_t attempts = backend_->PostHop(
-      machine, ReplicaHopKey(chain.query, chain.shard, d0, r0),
-      ctx_.max_retries,
-      [this, task]() mutable { RunSoloStage(std::move(task)); });
-  // The first hop survives by construction (lost blocks were stripped by
-  // BuildSoloOrder, and the schedule's replica walk picked a live replica
-  // whose coin stream delivers); book its retries.
-  HARMONY_CHECK_MSG(attempts > 0, "statically delivered hop was lost");
-  ledger_->BookDelivery(attempts);
-}
-
 void ChainExecutor::ChargeScanBytes(size_t machine, uint64_t bytes) {
   if (ctx_.use_pq) {
     backend_->ChargeCompressedBytes(machine, bytes);
@@ -607,171 +577,63 @@ void ChainExecutor::ChargeScanBytes(size_t machine, uint64_t bytes) {
 }
 
 void ChainExecutor::RunGroupStage(std::shared_ptr<GroupExecState> group) {
-  const PartitionPlan& plan = *ctx_.plan;
   const size_t d = group->order[group->pos];
-  const DimRange range = plan.dim_ranges[d];
-
-  GroupScanParams params;
-  params.metric = ctx_.opts->metric;
-  params.use_norms = ctx_.use_norms;
-  params.width = range.width();
-  params.use_batched = ctx_.opts->use_batched_kernels;
-  params.dispatch = ctx_.DispatchFor(range.width());
-  if (ctx_.use_pq) {
-    const ProductQuantizer& q = ctx_.opts->pq->block(d);
-    params.use_pq = true;
-    params.ksub = q.codewords();
-    params.code_size = q.code_size();
-  }
-
-  std::vector<GroupMemberScan> scans;
+  std::vector<StageMember> members;
   std::vector<ChainExecState*> active;
-  scans.reserve(group->members.size());
+  members.reserve(group->members.size());
   active.reserve(group->members.size());
-  // PQ streams: each member's ADC tables, built here on the stage's machine
-  // and freed when the stage returns.
-  std::vector<std::shared_ptr<const StageAdcTables>> member_tables;
   for (const auto& member : group->members) {
     if (member->cand.id.empty()) continue;
     if ((member->lost_mask >> d) & 1) continue;
     const QueryChain& chain = *member->chain;
     if (ctx_.faulty) {
-      // Members ride one shared baton, but each member's hop keeps its own
-      // (statically decided) retry bill so fault totals match the unshared
-      // dispatch, where every chain posts this hop itself. The schedule
-      // already resolved which replica delivered and at what cost.
+      // Members ride one baton, but each member's hop keeps its own
+      // (statically decided) retry bill: the schedule already resolved
+      // which replica delivered and at what cost.
       ledger_->BookDelivery(member->sched.attempts[d]);
     }
-    float tau;
-    bool heap_full;
-    backend_->ReadThreshold(chain.query, &tau, &heap_full);
-    GroupMemberScan ms;
-    ms.id = member->cand.id.data();
-    ms.list = member->cand.list.data();
-    ms.row = member->cand.row.data();
-    ms.partial = member->cand.partial.data();
-    ms.rem_p_sq = ctx_.use_norms ? member->cand.rem_p_sq.data() : nullptr;
-    if (ctx_.use_pq) {
-      ms.bound = member->cand.bound.data();
-      member_tables.push_back(
-          BuildStageAdcTables(ctx_, chain, member->cand, d));
-      ms.luts = member_tables.back()->tables.data();
-      if (ctx_.use_ip) {
-        ms.q_band_norm =
-            ctx_.pq_q_norm[static_cast<size_t>(chain.query) * ctx_.b_dim + d];
-      }
-    }
-    ms.count = member->cand.id.size();
-    ms.slices = member->cand.slices.data() + d * chain.lists.size();
-    ms.global_lists = chain.lists.data();
-    ms.q_slice =
-        ctx_.queries.Row(static_cast<size_t>(chain.query)) + range.begin;
-    ms.prune =
-        ctx_.opts->enable_pruning && member->processed > 0 && heap_full;
-    ms.tau = tau;
-    ms.rem_q_sq = member->rem_q_sq;
-    scans.push_back(ms);
+    StageMember m;
+    m.chain = &chain;
+    m.cand = &member->cand;
+    m.scan = MakeStageScanParams(ctx_, backend_, chain, member->cand, d,
+                                 member->processed, member->rem_q_sq);
+    members.push_back(std::move(m));
     active.push_back(member.get());
   }
 
-  if (!scans.empty()) {
+  if (!members.empty()) {
     const size_t machine = GroupStageMachine(*group, d);
-    const uint64_t scan_bytes =
-        ScanBlockGroup(params, scans.data(), scans.size());
+    const uint64_t scan_bytes = backend_->ScanStage(ctx_, d, machine, &members);
     ChargeScanBytes(machine, scan_bytes);
     // Hedged stage: the second replica streams the same rows; the loser's
     // bytes are still billed. All active members carry the same
     // (primary-keyed) hedge bit, so reading the first one is well defined.
     const ChainLossSchedule& sched0 = active.front()->sched;
     if (((sched0.hedge_mask >> d) & 1) != 0) {
-      ChargeScanBytes(static_cast<size_t>(plan.ReplicaOf(
+      ChargeScanBytes(static_cast<size_t>(ctx_.plan->ReplicaOf(
                           static_cast<size_t>(group->shard), d,
                           static_cast<size_t>(sched0.hedge_replica[d]))),
                       scan_bytes);
     }
     for (size_t i = 0; i < active.size(); ++i) {
       ChainExecState* m = active[i];
-      KeepSurvivors(ctx_, scans[i].survivors, &m->cand);
+      const StageScanOutcome& out = members[i].outcome;
+      if (!out.delivered) {
+        // No replica could serve the block: it is lost and the query runs
+        // on degraded (rem_q_sq keeps the block's mass, so the pruning
+        // bound stays conservative without it scanned).
+        ledger_->BookDynamicHopLoss(m->chain->query, ctx_.max_retries);
+        continue;
+      }
+      ledger_->BookDelivery(out.attempts);
+      for (uint32_t f = 0; f < out.failovers; ++f) ledger_->BookFailover();
       if (ctx_.use_norms) m->rem_q_sq -= m->cand.q_block_norm[d];
       ++m->processed;
       m->scanned_mask |= uint64_t{1} << d;
     }
   }
 
-  const size_t next_from = group->pos + 1;
-  if (!PostGroupStageFrom(group, next_from)) {
-    FinishGroup(group);
-  }
-}
-
-void ChainExecutor::RunSoloStage(std::shared_ptr<ChainExecState> task) {
-  const PartitionPlan& plan = *ctx_.plan;
-  const QueryChain& chain = *task->chain;
-  const size_t shard = static_cast<size_t>(chain.shard);
-  const size_t d = task->order[task->pos];
-  const DimRange range = plan.dim_ranges[d];
-
-  ChainCandidates& cand = task->cand;
-  const BlockScanParams scan = MakeStageScanParams(
-      ctx_, backend_, chain, cand, d, task->processed, task->rem_q_sq);
-  const StageScanOutcome stage = backend_->ScanStage(
-      ctx_, chain, d,
-      static_cast<size_t>(plan.ReplicaOf(shard, d, HopReplica(*task, d))),
-      scan, &cand);
-  const size_t w = cand.id.size();
-  if (stage.delivered) {
-    ledger_->BookDelivery(stage.attempts);
-    for (uint32_t i = 0; i < stage.failovers; ++i) ledger_->BookFailover();
-    if (ctx_.use_norms) task->rem_q_sq -= cand.q_block_norm[d];
-    ++task->processed;
-    task->scanned_mask |= uint64_t{1} << d;
-    // Unshared scans stream every survivor's row for this chain alone — on
-    // the replica that served the stage (the schedule-chosen one in
-    // process, replica 0 unrouted). Under PQ streams the stage reads the
-    // code stream, not the float rows.
-    const uint64_t row_bytes =
-        ctx_.use_pq ? scan.code_size : range.width() * sizeof(float);
-    const uint64_t scan_bytes = static_cast<uint64_t>(w) * row_bytes;
-    ChargeScanBytes(stage.machine, scan_bytes);
-    // Hedged stage: the second replica streams the same rows; the loser's
-    // bytes are still billed.
-    if (((task->sched.hedge_mask >> d) & 1) != 0) {
-      ChargeScanBytes(
-          static_cast<size_t>(plan.ReplicaOf(
-              shard, d, static_cast<size_t>(task->sched.hedge_replica[d]))),
-          scan_bytes);
-    }
-  } else {
-    // No replica could serve the block: it is lost and the query runs on
-    // degraded (rem_q_sq keeps the block's mass, so the pruning bound stays
-    // conservative without it scanned).
-    ledger_->BookDynamicHopLoss(chain.query, ctx_.max_retries);
-  }
-
-  // Hand the baton to the next surviving block. Statically lost blocks were
-  // already removed from `order` at dispatch, so the hop below normally
-  // succeeds; the loop is the defensive failover for a hop lost anyway
-  // (e.g. a plan whose crash schedule changed mid-run), which skips the
-  // block and degrades the chain instead of dropping the baton.
-  size_t next = task->pos + 1;
-  while (next < task->order.size() && w > 0) {
-    const size_t nd = task->order[next];
-    const size_t nr = HopReplica(*task, nd);
-    const size_t next_machine =
-        static_cast<size_t>(plan.ReplicaOf(shard, nd, nr));
-    task->pos = next;
-    const uint32_t attempts = backend_->PostHop(
-        next_machine, ReplicaHopKey(chain.query, chain.shard, nd, nr),
-        ctx_.max_retries,
-        [this, task]() mutable { RunSoloStage(std::move(task)); });
-    if (attempts > 0) {
-      ledger_->BookDelivery(attempts);
-      return;
-    }
-    ledger_->BookDynamicHopLoss(chain.query, ctx_.max_retries);
-    ++next;
-  }
-  FinishChain(task);
+  if (!PostGroupStageFrom(group, group->pos + 1)) FinishGroup(group);
 }
 
 void ChainExecutor::MergeChainResults(const ChainExecState& task) {
@@ -822,12 +684,6 @@ void ChainExecutor::MergeChainResults(const ChainExecState& task) {
   });
 }
 
-void ChainExecutor::FinishChain(const std::shared_ptr<ChainExecState>& task) {
-  MergeChainResults(*task);
-  if (on_chain_done_) on_chain_done_(task->chain->query);
-  on_done_();
-}
-
 void ChainExecutor::FinishGroup(const std::shared_ptr<GroupExecState>& group) {
   for (const auto& member : group->members) MergeChainResults(*member);
   if (on_chain_done_) {
@@ -835,7 +691,7 @@ void ChainExecutor::FinishGroup(const std::shared_ptr<GroupExecState>& group) {
       on_chain_done_(member->chain->query);
     }
   }
-  on_done_();  // the done count is per group baton in group mode
+  on_done_();  // the done count is per group baton
 }
 
 }  // namespace harmony

@@ -15,14 +15,12 @@
 
 namespace harmony {
 
-/// What one dimension-stage scan reports back to ChainExecutor, which books
-/// it through the FaultLedger.
+/// What one member's dimension-stage scan reports back to ChainExecutor,
+/// which books it through the FaultLedger.
 struct StageScanOutcome {
   /// False when no replica of the block could serve the scan: the block is
   /// lost and the candidates are left untouched.
   bool delivered = true;
-  /// Machine whose store served the scan; billed for the streamed rows.
-  size_t machine = 0;
   /// Delivery attempts the serving machine took (1 = first try).
   uint32_t attempts = 1;
   /// Replicas passed over before the serving one (dead or unreachable);
@@ -30,20 +28,31 @@ struct StageScanOutcome {
   uint32_t failovers = 0;
 };
 
+/// One member of a group stage as ChainExecutor hands it to
+/// ExecBackend::ScanStage: the chain, its candidate arrays, the member's
+/// scan parameters (MakeStageScanParams) and, on return, its outcome.
+struct StageMember {
+  const QueryChain* chain = nullptr;
+  ChainCandidates* cand = nullptr;
+  BlockScanParams scan;
+  StageScanOutcome outcome;
+};
+
 /// \brief What the shared chain/group lifecycle needs from an execution
-/// substrate. Three implementations: the SimCluster virtual-clock backend
+/// substrate: seven required ops and two with defaults. Three
+/// implementations: the SimCluster virtual-clock backend
 /// (core/pipeline.cc), the ThreadedCluster thread-pool backend
 /// (core/coordinator.cc) and the socket backend, whose stage scans are
 /// RPCs to worker processes (net/socket_backend.cc).
 ///
-/// The threaded backend is push-driven: the lifecycle posts each stage
-/// continuation into the owning node's mailbox (PostStage / PostHop). The
+/// The threaded backend is push-driven: the lifecycle posts each group
+/// baton's next stage into the owning node's mailbox (PostStage). The
 /// simulated backend is pull-driven — its discrete-event scheduler orders
 /// stages by virtual time, so stage continuations carry explicit readiness
-/// instead of posts; its PostStage/PostHop therefore execute the stage
-/// inline on the caller (the only time-free reading of "post" a
-/// virtual-clock substrate has). The socket backend also runs posts inline:
-/// its one frontend thread walks each chain while the workers scan.
+/// instead of posts; its PostStage therefore executes the stage inline on
+/// the caller (the only time-free reading of "post" a virtual-clock
+/// substrate has). The socket backend also runs posts inline: its one
+/// frontend thread walks each baton while the workers scan.
 class ExecBackend {
  public:
   virtual ~ExecBackend() = default;
@@ -72,23 +81,23 @@ class ExecBackend {
   virtual void ChargeCompressedBytes(size_t machine, uint64_t bytes) = 0;
   /// Schedules a stage continuation on `machine`.
   virtual void PostStage(size_t machine, std::function<void()> stage) = 0;
-  /// Fault-checked delivery of a chain hop onto `machine`: consults the
-  /// fault plan via `msg_key` and returns the attempts used (1 = delivered
-  /// first try, up to max_retries+1), or 0 when the message is permanently
-  /// lost — `stage` is then discarded and the caller owns the failover.
+  /// Runs a group stage: the scan of dimension block `d` for every member
+  /// of `members`, leaving each member's candidate arrays holding exactly
+  /// its survivors and its `outcome` filled in. `machine` is the stage
+  /// primary's replica, which the returned streamed bytes are billed to.
+  /// The default scans that machine's store in process as one
+  /// ScanBlockGroup, so co-probing members stream each row tile once; a
+  /// remote substrate ships each member's scan to a worker and may serve it
+  /// from another replica or lose the block.
+  virtual uint64_t ScanStage(const ExecContext& ctx, size_t d, size_t machine,
+                             std::vector<StageMember>* members);
+  /// Has no caller: which replica a hop reaches, and after how many
+  /// attempts, is decided statically by the chain's loss schedule. The
+  /// default posts `stage` and reports a first-try delivery. Kept only
+  /// because the wall-clock benchmark's probe backend
+  /// (benchmark/src/probes.cc) still overrides it.
   virtual uint32_t PostHop(size_t machine, uint64_t msg_key,
-                           uint32_t max_retries,
-                           std::function<void()> stage) = 0;
-  /// Runs a solo chain's dimension-stage scan of block `d` over `cand`,
-  /// compacting the survivors in place. `machine` is the replica the
-  /// chain's hop landed on. The default scans that machine's store in
-  /// process (ScanBlock); a remote substrate ships the scan to a worker and
-  /// may serve it from another replica or lose the block.
-  virtual StageScanOutcome ScanStage(const ExecContext& ctx,
-                                     const QueryChain& chain, size_t d,
-                                     size_t machine,
-                                     const BlockScanParams& scan,
-                                     ChainCandidates* cand);
+                           uint32_t max_retries, std::function<void()> stage);
 };
 
 /// \brief The static routing + loss schedule of one chain: a pure function
@@ -178,9 +187,8 @@ class FaultLedger {
     if (first_loss) blocks_lost_.fetch_add(1, std::memory_order_relaxed);
     if (degrade) backend_->TagDegraded(query);
   }
-  /// Books a baton hop lost past the retry budget mid-run, or a stage scan
-  /// no replica could serve (solo path): the block is lost and the query
-  /// degrades.
+  /// Books a member's stage scan that no replica could serve (a remote
+  /// substrate's ScanStage): the block is lost and the query degrades.
   void BookDynamicHopLoss(int32_t query, uint32_t max_retries) {
     BookLostMessage(max_retries);
     blocks_lost_.fetch_add(1, std::memory_order_relaxed);
@@ -332,22 +340,18 @@ class SharedScanBiller {
   std::unordered_map<uint64_t, uint64_t> streamed_rows_;
 };
 
-// --- The chain/group lifecycle state machine (push-driven engines).
+// --- The group-baton lifecycle state machine (push-driven engines).
 
-/// One chain's baton, passed machine-to-machine along its dimension stages.
-/// The candidate set is built before dispatch (allocated by the client,
-/// which holds the routing tables, and filled on the node pools from the
-/// in-process stores), so a chain whose first hop is lost never
-/// half-executes.
+/// One chain's state as a member of a group baton. The candidate set is
+/// built before dispatch (allocated by the client, which holds the routing
+/// tables, and filled on the node pools from the in-process stores), so a
+/// chain whose first hop is lost never half-executes.
 struct ChainExecState {
   const QueryChain* chain = nullptr;
-  std::vector<size_t> order;  ///< Surviving dimension blocks, pipeline order.
-  size_t pos = 0;             ///< Current pipeline position.
   ChainCandidates cand;
   float rem_q_sq = 0.0f;
-  /// Group-dispatch only: statically lost blocks are kept in the shared
-  /// group order and skipped per member via this mask instead of being
-  /// stripped (other members may still want them).
+  /// Statically lost blocks: kept in the shared group order and skipped for
+  /// this member (other members may still want them).
   uint64_t lost_mask = 0;
   /// Stages this chain actually scanned; gates pruning (the first scanned
   /// stage has no partials yet). Lags the pipeline position wherever a
@@ -363,10 +367,11 @@ struct ChainExecState {
   ChainLossSchedule sched;
 };
 
-/// The shared baton of one query group: chains that co-probe `shard` at the
-/// same probe rank (BatchRouting::chain_group). The group walks one shared
-/// block order and each stage runs as a single ScanBlockGroup on the owning
-/// machine, streaming every row tile once for all members.
+/// The baton of one query group: chains that co-probe `shard` at the same
+/// probe rank (BatchRouting::chain_group), or a single chain when groups
+/// are off. The group walks one block order and each stage runs as one
+/// ExecBackend::ScanStage on the owning machine — in process a single
+/// ScanBlockGroup, streaming every row tile once for all members.
 struct GroupExecState {
   int32_t shard = 0;
   std::vector<size_t> order;  ///< All b_dim blocks, shared pipeline order.
@@ -374,15 +379,18 @@ struct GroupExecState {
   std::vector<std::shared_ptr<ChainExecState>> members;
 };
 
-/// \brief Drives chain and group lifecycles — candidate build, static loss
-/// application, stage execution, baton/group hops, fault booking, result
-/// merge — over an ExecBackend. The threaded and socket engines drive it
-/// end to end (RunChainBatch); the simulated engine shares the per-stage
-/// pieces (loss schedules, ordering, booking, scan parameters, billing) but
-/// schedules stages from its own virtual-time event loop.
+/// \brief Drives group-baton lifecycles — candidate build, static loss
+/// application, stage execution, baton hops, fault booking, result merge —
+/// over an ExecBackend. Every chain rides a group baton; a chain with no
+/// co-probing partner (or any chain when groups are off) is a group of
+/// one, whose order is the chain's own stagger rotation. The threaded and
+/// socket engines drive it end to end (RunChainBatch); the simulated
+/// engine shares the per-stage pieces (loss schedules, ordering, booking,
+/// scan parameters, billing) but schedules stages from its own
+/// virtual-time event loop.
 class ChainExecutor {
  public:
-  /// `on_done` fires once per finished chain (solo) or group baton.
+  /// `on_done` fires once per finished group baton.
   ChainExecutor(const ExecContext& ctx, ExecBackend* backend,
                 FaultLedger* ledger, std::function<void()> on_done)
       : ctx_(ctx),
@@ -413,25 +421,18 @@ class ChainExecutor {
   /// the call returns once every part has finished; a substrate whose
   /// PostStage runs inline (sockets) fills serially through the same code.
   /// A task left with no candidate has nothing to scan (no posts needed).
-  /// Shared by the solo and group dispatch paths so both modes scan exactly
-  /// the same candidates.
   void FillChains(
       const std::vector<std::shared_ptr<ChainExecState>>& tasks) const;
 
-  /// Group-mode static loss: books the chain's lost blocks and sets its
-  /// skip mask. Returns true when the chain is unreachable (every block
-  /// lost, or the result hop can never be delivered) — booked as a lost
-  /// shard; the caller skips the chain. No-op without faults.
+  /// Static loss: derives the chain's schedule, books its lost blocks and
+  /// sets its skip mask. Returns true when the chain is unreachable (every
+  /// block lost, or the result hop can never be delivered) — booked as a
+  /// lost shard; the caller skips the chain. No-op on unrouted runs.
   bool ApplyGroupMemberLoss(ChainExecState* task) const;
 
-  /// Solo-mode order build: the chain's static stagger rotation, with
-  /// statically lost blocks stripped (and booked). Returns true when the
-  /// chain is unreachable — booked as a lost shard; the caller skips it.
-  bool BuildSoloOrder(ChainExecState* task, size_t chain_index) const;
-
-  /// The shared block order of a group, anchored at its first member's
-  /// stagger — the rotation that chain would have used solo; later members
-  /// inherit it, which is what lets the whole group ride one baton.
+  /// The block order of a group, anchored at its first member's stagger —
+  /// the rotation that chain would walk alone; later members inherit it,
+  /// which is what lets the whole group ride one baton.
   std::vector<size_t> MakeGroupOrder(size_t anchor_chain_index) const;
 
   /// Posts the group's next stage at or after position `from`, skipping
@@ -439,13 +440,8 @@ class ChainExecutor {
   /// members that wanted them ran out of candidates). Returns false when no
   /// stage remains. The baton is a plain PostStage: per-member hop delivery
   /// was decided statically at dispatch (lost_mask) and its retries are
-  /// billed per member inside the stage, so the shared baton itself never
-  /// drops.
+  /// billed per member inside the stage, so the baton itself never drops.
   bool PostGroupStageFrom(std::shared_ptr<GroupExecState> group, size_t from);
-
-  /// Posts the chain's first baton hop. The hop survives by construction
-  /// (lost blocks were stripped by BuildSoloOrder); its retries are booked.
-  void PostFirstSoloHop(const std::shared_ptr<ChainExecState>& task);
 
  private:
   /// Machine a group stage runs on: the stage primary's replica of block
@@ -457,10 +453,8 @@ class ChainExecutor {
   /// under PQ streams, float row bytes otherwise.
   void ChargeScanBytes(size_t machine, uint64_t bytes);
   void FillChain(ChainExecState* task) const;
-  void RunSoloStage(std::shared_ptr<ChainExecState> task);
   void RunGroupStage(std::shared_ptr<GroupExecState> group);
   void MergeChainResults(const ChainExecState& task);
-  void FinishChain(const std::shared_ptr<ChainExecState>& task);
   void FinishGroup(const std::shared_ptr<GroupExecState>& group);
 
   const ExecContext& ctx_;

@@ -27,8 +27,8 @@ struct ChainBatchBackend::QueryState {
   /// the client, executed chains by the worker that merges them last).
   std::atomic<int64_t> chains_left{0};
   /// Real completion stamp (seconds since batch start), written exactly once
-  /// when chains_left hits zero; -1 while in flight. Atomic so the timeout
-  /// salvage path can read it while workers still run.
+  /// when chains_left hits zero, by whichever thread merged the query's
+  /// last chain; -1 while in flight.
   std::atomic<double> done_seconds{-1.0};
 };
 
@@ -90,11 +90,6 @@ class ThreadedBackend final : public ChainBatchBackend {
   void PostStage(size_t machine, std::function<void()> stage) override {
     cluster_->Post(machine, std::move(stage));
   }
-  uint32_t PostHop(size_t machine, uint64_t msg_key, uint32_t max_retries,
-                   std::function<void()> stage) override {
-    return cluster_->PostMessage(machine, msg_key, max_retries,
-                                 std::move(stage));
-  }
 
  private:
   std::unique_ptr<ThreadedCluster> cluster_;
@@ -146,15 +141,14 @@ Result<ThreadedOutput> RunChainBatch(
     PrewarmQuery(ctx, q, &state.heap, &state.prewarmed_ids, {});
   }
 
-  // Batch-completion tracker; `remaining` counts chains (solo dispatch) or
-  // group batons (group dispatch).
+  // Batch-completion tracker: group batons of the current rank still out.
   std::mutex done_mu;
   std::condition_variable done_cv;
-  size_t chains_remaining = 0;
+  size_t batons_remaining = 0;
   FaultLedger ledger(backend);
   ChainExecutor executor(ctx, backend, &ledger, [&] {
     std::lock_guard<std::mutex> lock(done_mu);
-    if (--chains_remaining == 0) done_cv.notify_all();
+    if (--batons_remaining == 0) done_cv.notify_all();
   });
   // Per-query completion stamp: the last accounted chain of a query writes
   // the query's real latency. `watch` is read concurrently from worker
@@ -184,15 +178,9 @@ Result<ThreadedOutput> RunChainBatch(
     ~CloseOnExit() { backend->Close(); }
   } close_on_exit{backend};
 
-  // Builds the batch output. On the normal path every chain has finished and
-  // nothing races; on the timeout-salvage path workers may still be running,
-  // so every heap read goes through its state mutex and the completion
-  // stamps/degraded flags are atomics — the snapshot is coherent per query.
-  // Queries still in flight keep query_seconds = -1, are tagged degraded
-  // (their heaps hold a partial merge) and counted as timed out.
-  const auto assemble = [&](bool timed_out) -> ThreadedOutput {
+  // Builds the batch output once every chain has finished.
+  const auto assemble = [&]() -> ThreadedOutput {
     ThreadedOutput out;
-    out.timed_out = timed_out;
     out.results.resize(queries.size());
     out.degraded.assign(queries.size(), 0);
     out.query_seconds.assign(queries.size(), -1.0);
@@ -209,13 +197,6 @@ Result<ThreadedOutput> RunChainBatch(
         out.degraded[q] = 1;
         ++out.faults.degraded_queries;
       }
-      if (out.query_seconds[q] < 0.0) {
-        ++out.faults.timed_out_queries;
-        if (out.degraded[q] == 0) {
-          out.degraded[q] = 1;
-          ++out.faults.degraded_queries;
-        }
-      }
     }
     out.bytes_streamed =
         backend->bytes_streamed_.load(std::memory_order_relaxed);
@@ -226,11 +207,11 @@ Result<ThreadedOutput> RunChainBatch(
   };
 
   // Shared scans need the routing's query-group table (RouteBatch with
-  // group_size > 1); without it every group would be a singleton anyway, so
-  // fall back to the solo dispatch path.
-  const bool group_mode = allow_groups && opts.shared_scans &&
-                          routing.num_groups > 0 &&
-                          routing.chain_group.size() == routing.chains.size();
+  // group_size > 1) and a substrate that can scan a group at once; without
+  // them every chain rides a baton of its own.
+  const bool shared = allow_groups && opts.shared_scans &&
+                      routing.num_groups > 0 &&
+                      routing.chain_group.size() == routing.chains.size();
 
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -252,85 +233,64 @@ Result<ThreadedOutput> RunChainBatch(
     if (opts.max_wall_seconds > 0.0 &&
         std::chrono::steady_clock::now() >= deadline) {
       // Budget already spent: don't start another rank.
-      if (opts.timeout_partial_results) return assemble(/*timed_out=*/true);
       return Status::Timeout("batch exceeded max_wall_seconds");
     }
 
     // Prepare the rank's chains: the client allocates every chain's state,
     // the node pools fill the candidate arrays, then the client walks the
-    // chains in order — empty-chain skip, block order / group assembly,
-    // and the (static, pure-function-of-the-plan) loss schedule — all
-    // shared lifecycle code in core/chain_exec.cc.
+    // chains in order — empty-chain skip, the (static, pure-function-of-
+    // the-plan) loss schedule and group assembly — all shared lifecycle
+    // code in core/chain_exec.cc.
     std::vector<std::shared_ptr<ChainExecState>> prepared;
     prepared.reserve(end - begin);
     for (size_t c = begin; c < end; ++c) {
       prepared.push_back(executor.AllocateChain(routing.chains[c]));
     }
     executor.FillChains(prepared);
-    std::vector<std::shared_ptr<ChainExecState>> dispatch;
-    std::vector<std::shared_ptr<GroupExecState>> group_dispatch;
+    std::vector<std::shared_ptr<GroupExecState>> groups;
     std::unordered_map<int32_t, size_t> group_slot;  // group id -> index
-    dispatch.reserve(end - begin);
     for (size_t c = begin; c < end; ++c, ++chain_index) {
       const QueryChain& chain = routing.chains[c];
       std::shared_ptr<ChainExecState> task = std::move(prepared[c - begin]);
-      if (task->cand.id.empty()) {
-        // Nothing to scan; no posts needed.
+      if (task->cand.id.empty() || executor.ApplyGroupMemberLoss(task.get())) {
+        // Nothing to scan, or unreachable: no posts needed.
         note_chain_done(chain.query);
         continue;
       }
-
-      if (group_mode) {
-        if (executor.ApplyGroupMemberLoss(task.get())) {
-          note_chain_done(chain.query);
-          continue;
-        }
-        const int32_t gid = routing.chain_group[c];
-        const auto [slot, inserted] =
-            group_slot.try_emplace(gid, group_dispatch.size());
-        if (inserted) {
-          auto group = std::make_shared<GroupExecState>();
-          group->shard = chain.shard;
-          group->order = executor.MakeGroupOrder(chain_index);
-          group_dispatch.push_back(std::move(group));
-        }
-        group_dispatch[slot->second]->members.push_back(std::move(task));
-        continue;
+      size_t slot = groups.size();
+      if (shared) {
+        slot = group_slot.try_emplace(routing.chain_group[c], slot)
+                   .first->second;
       }
-
-      if (executor.BuildSoloOrder(task.get(), chain_index)) {
-        note_chain_done(chain.query);
-        continue;
+      if (slot == groups.size()) {
+        auto group = std::make_shared<GroupExecState>();
+        group->shard = chain.shard;
+        group->order = executor.MakeGroupOrder(chain_index);
+        groups.push_back(std::move(group));
       }
-      dispatch.push_back(std::move(task));
+      groups[slot]->members.push_back(std::move(task));
     }
 
     {
       std::lock_guard<std::mutex> lock(done_mu);
-      // In group mode the done count is per group (one baton each).
-      chains_remaining = group_mode ? group_dispatch.size() : dispatch.size();
+      batons_remaining = groups.size();
     }
-    for (auto& group : group_dispatch) {
+    for (auto& group : groups) {
       // Every member kept at least one block, so a runnable stage exists.
       const bool posted = executor.PostGroupStageFrom(group, 0);
       HARMONY_CHECK_MSG(posted, "query group with no runnable stage");
     }
-    for (auto& task : dispatch) {
-      executor.PostFirstSoloHop(task);
-    }
-    if (!dispatch.empty() || !group_dispatch.empty()) {
+    if (!groups.empty()) {
       std::unique_lock<std::mutex> lock(done_mu);
       if (opts.max_wall_seconds > 0.0) {
         if (!done_cv.wait_until(lock, deadline,
-                                [&] { return chains_remaining == 0; })) {
-          lock.unlock();
-          if (opts.timeout_partial_results) return assemble(/*timed_out=*/true);
+                                [&] { return batons_remaining == 0; })) {
           return Status::Timeout(
               "batch exceeded max_wall_seconds; a baton was lost or the "
               "cluster is wedged");
         }
       } else {
-        done_cv.wait(lock, [&] { return chains_remaining == 0; });
+        done_cv.wait(lock, [&] { return batons_remaining == 0; });
       }
     }
     HARMONY_RETURN_NOT_OK(backend->status());
@@ -340,7 +300,7 @@ Result<ThreadedOutput> RunChainBatch(
     begin = end;
   }
 
-  return assemble(/*timed_out=*/false);
+  return assemble();
 }
 
 Result<ThreadedOutput> ExecuteThreaded(const IvfIndex& index,

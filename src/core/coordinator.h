@@ -25,14 +25,8 @@ struct ThreadedOutput {
   double wall_seconds = 0.0;
   /// Real per-query completion time, measured from the start of the batch to
   /// the moment the query's last chain merged its results (its in-batch
-  /// latency on the real clock). -1 for a query still unfinished when a
-  /// timeout salvage (ExecOptions::timeout_partial_results) cut the batch
-  /// short — exactly the queries counted in faults.timed_out_queries.
+  /// latency on the real clock).
   std::vector<double> query_seconds;
-  /// True when the max_wall_seconds budget expired and the batch was
-  /// salvaged instead of failed (ExecOptions::timeout_partial_results);
-  /// `results` then hold whatever each query's heap contained at bail-out.
-  bool timed_out = false;
   /// Per-query degraded flag (size num_queries, all zero on a healthy run);
   /// same semantics as PipelineOutput::degraded, and — because fault
   /// decisions are pure functions of the plan — the same flags the
@@ -99,16 +93,17 @@ class ChainBatchBackend : public ExecBackend {
 
 /// \brief The rank-staged batch driver both push-driven engines run on:
 /// validates the inputs, prewarms every query, then dispatches chains rank
-/// by rank through ChainExecutor — solo batons, or query-group batons when
-/// `allow_groups` and the routing carries shared-scan groups — waits for the
-/// rank, folds node health at the barrier, and assembles the output from
-/// the ledger snapshot and the per-query state. Each rank's chains are
-/// prepared in two steps: the client allocates their states (slice tables,
-/// reserved candidate columns), the node pools fill the candidate arrays
-/// (inline on sockets, whose posts run on the caller), and the client then
-/// walks the chains in order for everything order-sensitive — skips, group
-/// assembly, loss schedules, ledger bookings and first-hop posts. Honors
-/// max_wall_seconds (fail or salvage) between and within ranks.
+/// by rank through ChainExecutor as group batons — the routing's shared-scan
+/// groups when `allow_groups` and ExecOptions::shared_scans allow them, one
+/// chain per group otherwise — waits for the rank, folds node health at the
+/// barrier, and assembles the output from the ledger snapshot and the
+/// per-query state. Each rank's chains are prepared in two steps: the
+/// client allocates their states (slice tables, reserved candidate
+/// columns), the node pools fill the candidate arrays (inline on sockets,
+/// whose posts run on the caller), and the client then walks the chains in
+/// order for everything order-sensitive — skips, loss schedules, ledger
+/// bookings, group assembly and first-stage posts. A batch that overruns
+/// max_wall_seconds, checked between and within ranks, fails with kTimeout.
 Result<ThreadedOutput> RunChainBatch(
     const IvfIndex& index, const PartitionPlan& plan,
     const std::vector<WorkerStore>& stores, const PrewarmCache& prewarm,

@@ -85,14 +85,6 @@ struct ExecTuning {
   /// pipeline is off); > 0 reranks only the `rerank_depth` best survivors
   /// by quantized partial sum (cheaper, approximate).
   size_t rerank_depth = 0;
-  /// When the max_wall_seconds budget expires, salvage the batch instead of
-  /// failing it: ExecuteThreaded returns a valid ThreadedOutput whose
-  /// `timed_out` flag is set, with whatever each query's heap held at the
-  /// bail-out, real completion times for the queries that did finish
-  /// (ThreadedOutput::query_seconds), and the unfinished queries tagged
-  /// degraded and counted in FaultStats::timed_out_queries. Off keeps the
-  /// historical Status kTimeout error return.
-  bool timeout_partial_results = false;
   /// Kernel dispatch tier (docs/kernels.md, "dispatch tiers and
   /// autotuning"). kAuto resolves to the best tier the CPU supports at
   /// context-build time; an explicit tier pins it (and MakeExecContext

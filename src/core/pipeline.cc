@@ -75,7 +75,7 @@ struct ChainRun {
 /// The SimCluster execution substrate: single-threaded over virtual clocks,
 /// so heap access is direct, degraded flags are plain bytes, and streamed
 /// bytes bill per-worker. The discrete-event loop below orders stages by
-/// virtual time itself, so PostStage/PostHop execute the stage inline (the
+/// virtual time itself, so PostStage executes the stage inline (the
 /// only time-free reading of "post" a virtual-clock substrate has); the
 /// loop uses the backend for state access and accounting, not scheduling.
 class SimBackend : public ExecBackend {
@@ -107,18 +107,6 @@ class SimBackend : public ExecBackend {
   }
   void PostStage(size_t /*machine*/, std::function<void()> stage) override {
     stage();
-  }
-  uint32_t PostHop(size_t /*machine*/, uint64_t msg_key, uint32_t max_retries,
-                   std::function<void()> stage) override {
-    const FaultInjector& faults = cluster_->faults();
-    if (faults.enabled()) {
-      const uint32_t attempts = faults.DeliveryAttempts(msg_key, max_retries);
-      if (attempts == 0) return 0;
-      stage();
-      return attempts;
-    }
-    stage();
-    return 1;
   }
 
  private:

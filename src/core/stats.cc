@@ -13,7 +13,6 @@ std::string FaultStats::ToString() const {
      << " blocks_lost=" << blocks_lost << " shards_lost=" << shards_lost
      << " failovers=" << failovers << " hedged=" << hedged
      << " degraded_queries=" << degraded_queries;
-  if (timed_out_queries > 0) os << " timed_out_queries=" << timed_out_queries;
   if (degraded_recall >= 0.0) os << " degraded_recall=" << degraded_recall;
   os << "}";
   return os.str();

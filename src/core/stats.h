@@ -83,13 +83,6 @@ struct FaultStats {
   uint64_t hedged = 0;
   /// Queries whose result set was computed from an incomplete pipeline.
   size_t degraded_queries = 0;
-  /// Queries still in flight when the max_wall_seconds budget expired and
-  /// ExecOptions::timeout_partial_results salvaged the batch: their result
-  /// sets hold whatever had merged by the bail-out. Zero on every run that
-  /// finished inside the budget. The serving layer's ServingStats counts its
-  /// timeouts from per-query completion times; this counter is the engine's
-  /// side of the same book, so the two can be cross-checked.
-  size_t timed_out_queries = 0;
   /// recall@K over the degraded queries only; filled by callers that hold
   /// ground truth (CLI, benchmarks) — the engine itself reports -1.
   double degraded_recall = -1.0;
@@ -97,7 +90,7 @@ struct FaultStats {
   bool any() const {
     return messages_dropped > 0 || retries > 0 || blocks_lost > 0 ||
            shards_lost > 0 || failovers > 0 || hedged > 0 ||
-           degraded_queries > 0 || timed_out_queries > 0;
+           degraded_queries > 0;
   }
   std::string ToString() const;
 };

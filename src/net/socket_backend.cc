@@ -180,29 +180,26 @@ void SocketFrontend::ShutdownWorkers() {
 namespace {
 
 /// The socket substrate of the shared batch driver: one frontend thread
-/// runs every post inline, and each solo stage scan is an RPC to the worker
-/// owning the block's machine.
+/// runs every post inline, and each group member's stage scan is an RPC to
+/// the worker owning the block's machine.
 class SocketBackend final : public ChainBatchBackend {
  public:
   explicit SocketBackend(SocketFrontend* net) : net_(net) {}
 
-  StageScanOutcome ScanStage(const ExecContext& ctx, const QueryChain& chain,
-                             size_t d, size_t machine,
-                             const BlockScanParams& scan,
-                             ChainCandidates* cand) override;
+  uint64_t ScanStage(const ExecContext& ctx, size_t d, size_t machine,
+                     std::vector<StageMember>* members) override;
 
   void PostStage(size_t /*machine*/, std::function<void()> stage) override {
     stage();
   }
-  uint32_t PostHop(size_t /*machine*/, uint64_t /*msg_key*/,
-                   uint32_t /*max_retries*/,
-                   std::function<void()> stage) override {
-    stage();
-    return 1;
-  }
   Status status() const override { return status_; }
 
  private:
+  /// One member's kOpStageScan with its replica walk.
+  StageScanOutcome ScanMember(const ExecContext& ctx, const QueryChain& chain,
+                              size_t d, const BlockScanParams& scan,
+                              ChainCandidates* cand);
+
   SocketFrontend* net_;
   Status status_;
   std::vector<uint32_t> payload_;
@@ -230,14 +227,30 @@ Status ApplyStageReply(const WireMessage& reply, bool use_norms,
   return Status::OK();
 }
 
+/// Ships every member's scan in turn. Groups never reach this substrate
+/// (ExecuteSocket runs one chain per group), so there is no shared row
+/// stream to exploit: each member bills its own survivors' rows.
+uint64_t SocketBackend::ScanStage(const ExecContext& ctx, size_t d,
+                                  size_t /*machine*/,
+                                  std::vector<StageMember>* members) {
+  uint64_t bytes = 0;
+  for (StageMember& m : *members) {
+    m.outcome = ScanMember(ctx, *m.chain, d, m.scan, m.cand);
+    if (m.outcome.delivered) {
+      bytes += static_cast<uint64_t>(m.cand->id.size()) * m.scan.width *
+               sizeof(float);
+    }
+  }
+  return bytes;
+}
+
 /// Walks the block's replicas in health order, ships the scan, and applies
 /// the compacted survivors. All replicas down => the block is lost, exactly
-/// as a threaded baton past its retry budget.
-StageScanOutcome SocketBackend::ScanStage(const ExecContext& ctx,
-                                          const QueryChain& chain, size_t d,
-                                          size_t /*machine*/,
-                                          const BlockScanParams& scan,
-                                          ChainCandidates* cand) {
+/// as a threaded hop past its retry budget.
+StageScanOutcome SocketBackend::ScanMember(const ExecContext& ctx,
+                                           const QueryChain& chain, size_t d,
+                                           const BlockScanParams& scan,
+                                           ChainCandidates* cand) {
   StageScanOutcome out;
   out.delivered = false;
   // A failed batch drains its remaining stages as lost blocks, without RPCs.
@@ -304,7 +317,6 @@ StageScanOutcome SocketBackend::ScanStage(const ExecContext& ctx,
     status_ = ApplyStageReply(reply.value(), scan.use_norms, cand);
     if (!status_.ok()) return out;
     out.delivered = true;
-    out.machine = machine;
     out.attempts = attempts;
     return out;
   }

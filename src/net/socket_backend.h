@@ -102,8 +102,10 @@ class SocketFrontend {
 
 /// \brief The third execution backend, next to ExecuteSimulated and
 /// ExecuteThreaded: the same ChainExecutor under the same rank-staged
-/// driver (RunChainBatch), but every solo dimension-stage scan is an RPC to
-/// the worker process owning the block's machine (ExecBackend::ScanStage).
+/// driver (RunChainBatch), with one chain per group baton, and every
+/// dimension-stage scan an RPC to the worker process owning the block's
+/// machine (the ExecBackend::ScanStage override, one kOpStageScan per
+/// member).
 /// The frontend keeps routing, candidate build, prewarm, pruning
 /// thresholds, health folding, fault ledger and result heaps; workers scan
 /// their (bit-identical) stores and return compacted survivors. On a
@@ -120,8 +122,9 @@ class SocketFrontend {
 /// Scope gates (Status, not silent): PQ streams (kNotSupported: the ADC
 /// lookup tables do not travel on the wire) and modeled message-level
 /// FaultPlans (kInvalidArgument: connection-level faults are the
-/// SocketFaultPlan's job). Shared scans fall back to solo dispatch
-/// (identical results; group batching is an in-process optimization).
+/// SocketFaultPlan's job). Shared scans fall back to one chain per group
+/// (identical results; a group scan has no RPC yet, so sharing rows is an
+/// in-process optimization).
 /// hedge_after needs no gate: hedging keys off modeled straggler
 /// multipliers, so without a FaultPlan no stage hedges.
 Result<ThreadedOutput> ExecuteSocket(const IvfIndex& index,

@@ -42,21 +42,6 @@ void ThreadedCluster::Post(size_t node, std::function<void()> task) {
   });
 }
 
-uint32_t ThreadedCluster::PostMessage(size_t node, uint64_t msg_key,
-                                      uint32_t max_retries,
-                                      std::function<void()> task) {
-  HARMONY_CHECK(node < nodes_.size());
-  if (faults_.enabled()) {
-    if (faults_.CrashedFromStart(node)) return 0;
-    const uint32_t attempts = faults_.DeliveryAttempts(msg_key, max_retries);
-    if (attempts == 0) return 0;
-    Post(node, std::move(task));
-    return attempts;
-  }
-  Post(node, std::move(task));
-  return 1;
-}
-
 void ThreadedCluster::Barrier() {
   std::unique_lock<std::mutex> lock(barrier_mu_);
   barrier_cv_.wait(lock, [this] {

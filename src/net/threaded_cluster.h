@@ -28,7 +28,7 @@ namespace harmony {
 /// `threads_per_node > 1` (HarmonyOptions::threads_per_node) tasks of one
 /// node overlap and their start order is up to the scheduler; per-chain
 /// ordering is then the caller's job — the coordinator preserves it
-/// structurally, posting each chain's (or group's) next hop only after the
+/// structurally, posting each group baton's next stage only after the
 /// current stage returns (baton passing), so no two stages of one chain are
 /// ever in flight together and nothing depends on cross-task start order.
 class ThreadedCluster {
@@ -48,16 +48,6 @@ class ThreadedCluster {
   /// FIFO; with one thread per node tasks also start and complete in post
   /// order.
   void Post(size_t node, std::function<void()> task);
-
-  /// Fault-injected delivery at the mailbox boundary: consults the fault
-  /// plan for node crashes and per-attempt message drops keyed by
-  /// `msg_key`, so the loss schedule is a pure function of the plan (never
-  /// of thread timing). Returns the attempts used (1 = delivered first
-  /// try, up to max_retries+1), or 0 when the message is lost — the node is
-  /// dead or every attempt dropped — in which case `task` is discarded and
-  /// the caller owns the failover.
-  uint32_t PostMessage(size_t node, uint64_t msg_key, uint32_t max_retries,
-                       std::function<void()> task);
 
   /// Blocks until every mailbox is empty and every node is idle. Tasks may
   /// Post further tasks (batons); Barrier waits for those too.

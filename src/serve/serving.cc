@@ -8,6 +8,22 @@
 
 namespace harmony {
 
+Result<ServePolicy> CalibrateServePolicy(HarmonyEngine* engine,
+                                         const DatasetView& queries, size_t k,
+                                         size_t nprobe) {
+  const size_t probe = std::min<size_t>(kMaxQueryGroup, queries.size());
+  const DatasetView sample(queries.Row(0), probe, queries.dim());
+  HARMONY_ASSIGN_OR_RETURN(const BatchResult warm,
+                           engine->SearchBatchPinned(sample, k, nprobe));
+  const double group_seconds = warm.stats.makespan_seconds;
+  ServePolicy policy;
+  policy.est_query_seconds = group_seconds / static_cast<double>(probe);
+  policy.est_dispatch_seconds = 0.1 * group_seconds;
+  policy.max_linger_seconds = 2.0 * policy.est_query_seconds;
+  policy.executors = 2;
+  return policy;
+}
+
 Result<ServingReport> ServingFrontend::Replay(const ArrivalTrace& trace,
                                               bool threaded,
                                               const BatchExecHook* hook) {

@@ -26,6 +26,17 @@ struct ServingOptions {
   ServePolicy policy;
 };
 
+/// \brief Calibrates the admission policy on the virtual clock: one
+/// SearchBatchPinned warm-up group of the first min(kMaxQueryGroup, rows)
+/// rows of `queries` sets est_query_seconds to its makespan per query,
+/// est_dispatch_seconds to 0.1x the group's makespan, max_linger_seconds to
+/// 2x est_query_seconds, and 2 executors; every other field keeps its
+/// ServePolicy default. Deterministic, so the estimates track the simulated
+/// cost model.
+Result<ServePolicy> CalibrateServePolicy(HarmonyEngine* engine,
+                                         const DatasetView& queries, size_t k,
+                                         size_t nprobe);
+
 /// \brief Complete record of one serving run.
 ///
 /// `schedule` is the precomputed decision sequence (identical across

@@ -8,9 +8,7 @@
 //  4. the threaded backend replays the *same* schedule the simulated one
 //     does (group-composition parity by fingerprint) even though its
 //     measured latencies differ;
-//  5. the max_wall_seconds salvage path (ExecOptions::timeout_partial_
-//     results) reports per-query completion times that agree with
-//     FaultStats::timed_out_queries — the latency-accounting regression.
+//  5. per-query completion times feed the latency percentiles.
 
 #include "serve/serving.h"
 
@@ -249,46 +247,6 @@ TEST(LatencyAccountingTest, PerQueryCompletionTimesFeedPercentiles) {
   // The reported percentiles come from exactly these values.
   EXPECT_EQ(br.stats.latency_p50_seconds, sorted[(20 - 1) / 2]);
   EXPECT_EQ(br.stats.latency_max_seconds, sorted.back());
-}
-
-TEST(LatencyAccountingTest, TimeoutSalvageAgreesWithFaultStats) {
-  SmallWorld world = MakeSmallWorld(2000, 16, 4, 8, 20);
-  HarmonyOptions opts = EngineOptions();
-  // An impossible wall budget forces the timeout path deterministically.
-  opts.max_wall_seconds = 1e-9;
-  opts.timeout_partial_results = true;
-  HarmonyEngine engine(opts);
-  ASSERT_TRUE(engine.Build(world.mixture.vectors.View()).ok());
-  auto out = engine.SearchBatchThreaded(world.workload.queries.View(), 5, 4);
-  ASSERT_TRUE(out.ok()) << out.status();
-  const ThreadedOutput& to = out.value();
-  EXPECT_TRUE(to.timed_out);
-  ASSERT_EQ(to.query_seconds.size(), 20u);
-  ASSERT_EQ(to.degraded.size(), 20u);
-  // Unfinished queries (-1 completion) are exactly the ones counted in
-  // FaultStats::timed_out_queries and tagged degraded.
-  size_t unfinished = 0;
-  for (size_t q = 0; q < 20; ++q) {
-    if (to.query_seconds[q] < 0.0) {
-      ++unfinished;
-      EXPECT_NE(to.degraded[q], 0) << "query " << q;
-    } else {
-      EXPECT_LE(to.query_seconds[q], to.wall_seconds + 1e-6);
-    }
-  }
-  EXPECT_EQ(to.faults.timed_out_queries, unfinished);
-  EXPECT_GT(unfinished, 0u);
-  EXPECT_TRUE(to.faults.any());
-
-  // Historical behavior is preserved when the salvage flag is off.
-  HarmonyOptions strict = EngineOptions();
-  strict.max_wall_seconds = 1e-9;
-  HarmonyEngine strict_engine(strict);
-  ASSERT_TRUE(strict_engine.Build(world.mixture.vectors.View()).ok());
-  auto fail =
-      strict_engine.SearchBatchThreaded(world.workload.queries.View(), 5, 4);
-  EXPECT_FALSE(fail.ok());
-  EXPECT_EQ(fail.status().code(), StatusCode::kTimeout);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Query-group shared scans (PR 3): the ExecOptions::shared_scans toggle
 // must be invisible in every result bit — in the simulated engine it only
-// switches the bytes-streamed billing, and in the threaded engine the group
-// dispatch path is per-member bit-identical to the solo path whenever the
-// block orders align. Plus: intra-node parallelism (threads_per_node) cuts
+// switches the bytes-streamed billing, and in the threaded engine a shared
+// group is per-member bit-identical to one-chain groups whenever the block
+// orders align. Plus: intra-node parallelism (threads_per_node) cuts
 // the simulated makespan without changing results, and the router's
 // query-group assignment obeys its documented invariants.
 
@@ -199,9 +199,9 @@ TEST(SharedScanLanesTest, FourLanesCutSimMakespanWithoutChangingResults) {
 }
 
 TEST(SharedScanThreadedTest, ToggleIsByteIdenticalWithoutPipelineStagger) {
-  // With the pipeline stagger off every chain walks blocks 0..B-1, so the
-  // group order equals each member's solo order and the group path must
-  // reproduce the solo path bit for bit.
+  // With the pipeline stagger off every chain walks blocks 0..B-1, so a
+  // shared group's order equals each member's own order and shared groups
+  // must reproduce one-chain groups bit for bit.
   const SmallWorld world = MakeSmallWorld(2500, 32, 8, 8, 25);
   RunSetup setup = MakeSetup(world, 4, 2, 2, 4, /*group_size=*/4);
   ExecOptions opts;

@@ -459,13 +459,10 @@ TEST(SocketChannelDecodeTest, UndersizedLengthIsIoError) {
   EXPECT_EQ(msg.status().code(), StatusCode::kIoError);
 }
 
-TEST(SocketChannelDecodeTest, MissingFinPastMessageCapIsIoError) {
+TEST(SocketChannelDecodeTest, NonFinFrameThenHangupIsIoError) {
+  // A message cut off after a non-FIN frame: the peer hangs up mid-message,
+  // which is a torn stream, not a clean hangup at a message boundary.
   RawPair pair = MakeRawPair();
-  // A hostile stream of never-FIN frames must hit the reassembly cap and
-  // fail instead of allocating forever. Use a tiny chunk but assert the cap
-  // logic via a chunked count: 3 frames without FIN then one with a huge
-  // declared... — simpler: just check a non-FIN frame followed by hangup
-  // fails cleanly.
   const std::vector<uint8_t> bytes =
       EncodeRawFrame(9, 0, 21, /*fin=*/false, {1, 2, 3});
   RawWrite(pair.raw_fd, bytes.data(), bytes.size());
@@ -474,6 +471,49 @@ TEST(SocketChannelDecodeTest, MissingFinPastMessageCapIsIoError) {
   auto msg = pair.server.Recv();
   ASSERT_FALSE(msg.ok());
   EXPECT_EQ(msg.status().code(), StatusCode::kIoError);
+}
+
+TEST(SocketChannelDecodeTest, MissingFinPastMessageCapIsIoError) {
+  // A hostile stream of never-FIN frames must hit the reassembly cap and
+  // fail instead of allocating forever. Every frame is full-size with the
+  // next seq and a valid CRC, so each one alone is acceptable; the frame
+  // that would carry the message past kMaxMessageWords (2^26 words, the
+  // 1025th) is refused before its chunk is read.
+  RawPair pair = MakeRawPair();
+  // Growing the 256 MB reassembly buffer takes the receiver itself long
+  // enough under the sanitizers to expire a 1 s wait between frames.
+  pair.server.set_deadline_millis(10000);
+  constexpr size_t kChunk = SocketChannel::kMaxChunkWords;
+  constexpr size_t kFramesToCap =
+      SocketChannel::kMaxMessageWords / kChunk + 1;
+  // The CRC covers the op word and the chunk only, so one encoded frame
+  // serves every seq once its header word is rewritten.
+  std::vector<uint8_t> frame =
+      EncodeRawFrame(9, 0, 21, /*fin=*/false, MakePayload(kChunk));
+  std::thread writer([fd = pair.raw_fd, &frame] {
+    for (size_t f = 0; f < kFramesToCap; ++f) {
+      FrameHeader h;
+      h.tenant = 9;
+      h.seq = static_cast<uint16_t>(f);
+      h.length = static_cast<uint16_t>(kChunk + 2);
+      const uint64_t word = h.Encode();
+      std::memcpy(frame.data(), &word, sizeof(word));
+      for (size_t off = 0; off < frame.size();) {
+        const ssize_t n =
+            send(fd, frame.data() + off, frame.size() - off, MSG_NOSIGNAL);
+        if (n <= 0) return;  // the reader refused the stream and hung up
+        off += static_cast<size_t>(n);
+      }
+    }
+  });
+  auto msg = pair.server.Recv();
+  pair.server.Close();  // unblocks the writer, parked mid-frame
+  writer.join();
+  ASSERT_FALSE(msg.ok());
+  EXPECT_EQ(msg.status().code(), StatusCode::kIoError);
+  EXPECT_NE(msg.status().message().find("reassembled message exceeds cap"),
+            std::string::npos)
+      << msg.status();
 }
 
 TEST(SocketChannelDecodeTest, RandomGarbageNeverCrashes) {

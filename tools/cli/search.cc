@@ -17,22 +17,13 @@ Status RunServe(const CliArgs& args, const World& world,
     return Status::InvalidArgument(
         "--serve needs a stand-in dataset (not --base files)");
   }
-  // Admission estimates come from one warm-up group on the virtual clock.
-  const size_t probe = std::min<size_t>(kMaxQueryGroup, world.queries.size());
-  const DatasetView sample(world.queries.Row(0), probe, world.queries.dim());
-  HARMONY_ASSIGN_OR_RETURN(
-      const BatchResult warm,
-      engine->SearchBatchPinned(sample, args.k, args.nprobe));
-  const double group_seconds = warm.stats.makespan_seconds;
-
   ServingOptions sopts;
   sopts.k = args.k;
   sopts.nprobe = args.nprobe;
   sopts.degraded_nprobe = std::max<size_t>(1, args.nprobe / 4);
-  sopts.policy.est_query_seconds = group_seconds / static_cast<double>(probe);
-  sopts.policy.est_dispatch_seconds = 0.1 * group_seconds;
-  sopts.policy.max_linger_seconds = 2.0 * sopts.policy.est_query_seconds;
-  sopts.policy.executors = 2;
+  HARMONY_ASSIGN_OR_RETURN(
+      sopts.policy, CalibrateServePolicy(engine, world.queries.View(), args.k,
+                                         args.nprobe));
   sopts.policy.on_late =
       args.serve_shed ? LatePolicy::kShed : LatePolicy::kDegrade;
   const double capacity_qps = static_cast<double>(sopts.policy.executors) /
