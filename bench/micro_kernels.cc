@@ -125,7 +125,7 @@ BENCHMARK(BM_BlockScanPerRow)
 void BM_BlockScanBatched(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const size_t width = static_cast<size_t>(state.range(1));
-  const KernelDispatch kd = DefaultDispatch(Metric::kL2, width);
+  const KernelDispatch kd = DefaultDispatch(Metric::kL2);
   const auto q = RandomVec(width, 21);
   const auto data = RandomVec(rows * width, 22);
   std::vector<float> accum(rows, 0.0f);
@@ -232,11 +232,11 @@ float* AlignedRandomVec(size_t n, uint64_t seed, size_t phase,
 }
 
 void WriteKernelCurves(const char* path) {
-  // Best available tier + the startup autotuner's tile picks — exactly the
-  // dispatch a default engine run records in its plan. The batched side
-  // runs under the tuned shape; counts below the tuned row block take the
-  // batch kernels' per-row dispatch guard, which is what keeps small
-  // batches at per-row cost (no cell below ~1.0x).
+  // Best available tier + its fixed tile shapes — exactly the dispatch a
+  // default engine run records in its plan. The batched side runs under
+  // the tier's shape; counts below its row block take the batch kernels'
+  // per-row dispatch guard, which is what keeps small batches at per-row
+  // cost (no cell below ~1.0x).
   const KernelTuneTable& tune = ResolveKernelTune(KernelTier::kAuto);
   const ScanKernelTable& kt = ScanKernelsFor(tune.tier);
   std::FILE* f = std::fopen(path, "w");
@@ -246,9 +246,9 @@ void WriteKernelCurves(const char* path) {
   }
   std::fprintf(f,
                "{\n  \"kernel_table\": \"%s\",\n  \"tier\": \"%s\",\n"
-               "  \"tuned\": \"%s\",\n"
+               "  \"shapes\": \"%s\",\n"
                "  \"note\": \"speedup = median of paired interleaved "
-               "samples; rows below the tuned row block dispatch to the "
+               "samples; rows below the row block dispatch to the "
                "identical per-row kernel, so those cells measure 1.0 "
                "within host noise\",\n  \"results\": [",
                kt.name, KernelTierName(tune.tier), tune.ToString().c_str());
@@ -259,7 +259,7 @@ void WriteKernelCurves(const char* path) {
     const Metric metric = ip ? Metric::kInnerProduct : Metric::kL2;
     for (const size_t rows : rows_grid) {
       for (const size_t width : width_grid) {
-        const KernelShape shape = tune.shape(metric, width);
+        const KernelShape shape = tune.shape(metric);
         std::vector<float> q_store, data_store;
         const float* q = AlignedRandomVec(width, 31, /*phase=*/1, &q_store);
         const float* data =
@@ -306,7 +306,7 @@ void WriteKernelCurves(const char* path) {
     for (const size_t nq : {size_t{2}, size_t{4}, size_t{8}}) {
       for (const size_t rows : {size_t{64}, size_t{256}}) {
         for (const size_t width : {size_t{32}, size_t{128}}) {
-          const KernelShape shape = tune.shape(metric, width);
+          const KernelShape shape = tune.shape(metric);
           std::vector<std::vector<float>> q_stores(nq);
           std::vector<const float*> qs(nq);
           for (size_t i = 0; i < nq; ++i) {
@@ -391,8 +391,8 @@ void WriteKernelCurves(const char* path) {
   }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
-  std::fprintf(stderr, "wrote %s (tier %s, tuned %s)\n", path,
-               KernelTierName(tune.tier), tune.ToString().c_str());
+  std::fprintf(stderr, "wrote %s (shapes %s)\n", path,
+               tune.ToString().c_str());
 }
 
 }  // namespace harmony

@@ -13,7 +13,7 @@ namespace harmony {
 
 namespace {
 
-/// Cross-run streaming prefetch (tuned distance): touch the head rows of
+/// Cross-run streaming prefetch (the shape's distance): touch the head rows of
 /// the *next* candidate run while the current run's kernel streams, so the
 /// walk does not stall on the list-slice boundary. A pure memory hint —
 /// never reads out of bounds (capped by the slice's row count) and never
@@ -226,7 +226,7 @@ void ScanRuns(const BlockScanParams& p, size_t begin, size_t survivors,
     }
     // Cross-run streaming: while this run's kernel prefetches within the
     // run, the boundary into the next run (usually another list's slice)
-    // has no coverage — hint its head rows now, at the tuned distance.
+    // has no coverage — hint its head rows now, at the shape's distance.
     if (shape.prefetch > 0 && !use_pq && j + run < survivors) {
       const int32_t nli = list[begin + j + run];
       const ListSlice* nls = p.slices[static_cast<size_t>(nli)];
@@ -429,7 +429,7 @@ uint64_t ScanBlockGroup(GroupMemberScan* members, size_t num_members) {
             lw.ls->slice.RowBlock(static_cast<size_t>(rmin), len);
         // Merge-walk streaming: the tile's kernel prefetches within the
         // tile; hint the rows just past it (the likely next tile of this
-        // list) at the tuned distance so the walk crosses tile boundaries
+        // list) at the shape's distance so the walk crosses tile boundaries
         // without a cold stall.
         if (shape.prefetch > 0) {
           PrefetchRunHead(lw.ls->slice, static_cast<size_t>(rmin) + len,

@@ -77,8 +77,8 @@ struct BlockScanParams {
   size_t ksub = 0;               ///< Codewords per subspace (LUT row length).
   size_t code_size = 0;          ///< Bytes per code row (M_d).
   float q_band_norm = 0.0f;      ///< IP only: ||q^(d)||.
-  /// Resolved kernel dispatch of the batch (ExecContext::DispatchFor): the
-  /// tier table plus the tuned tile shape the kernels run with. Required —
+  /// Resolved kernel dispatch of the batch (ExecContext::Dispatch): the
+  /// tier table plus the tile shape the kernels run with. Required —
   /// the scan dereferences the table. Shapes are bit-transparent, so the
   /// shape moves throughput only.
   KernelDispatch dispatch;

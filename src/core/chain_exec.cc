@@ -332,9 +332,9 @@ BlockScanParams MakeStageScanParams(const ExecContext& ctx,
   scan.width = range.width();
   scan.slices = cand.slices.data() + d * chain.lists.size();
   scan.use_batched = ctx.opts->use_batched_kernels;
-  // Plan-recorded kernel dispatch: the tier table + tuned tile shape the
+  // Plan-recorded kernel dispatch: the tier table + tile shape the
   // context resolved once for the whole batch.
-  scan.dispatch = ctx.DispatchFor(range.width());
+  scan.dispatch = ctx.Dispatch();
   if (ctx.use_pq) {
     const ProductQuantizer& q = ctx.opts->pq->block(d);
     // Built here, on the thread running the stage, and freed with `scan`.

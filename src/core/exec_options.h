@@ -3,7 +3,7 @@
 
 #include <cstddef>
 
-#include "index/kernel_tune.h"
+#include "index/scan_kernel.h"
 #include "net/fault.h"
 
 namespace harmony {
@@ -85,18 +85,13 @@ struct ExecTuning {
   /// pipeline is off); > 0 reranks only the `rerank_depth` best survivors
   /// by quantized partial sum (cheaper, approximate).
   size_t rerank_depth = 0;
-  /// Kernel dispatch tier (docs/kernels.md, "dispatch tiers and
-  /// autotuning"). kAuto resolves to the best tier the CPU supports at
+  /// Kernel dispatch tier (docs/kernels.md, "dispatch tiers and tile
+  /// shapes"). kAuto resolves to the widest tier the CPU supports at
   /// context-build time; an explicit tier pins it (and MakeExecContext
   /// rejects a tier the CPU lacks). Every tier above the portable cutover
   /// widths is bitwise-identical per (query, row) within its family, so
   /// this knob moves throughput, never results.
   KernelTier kernel_tier = KernelTier::kAuto;
-  /// Optional pinned tune table (borrowed pointer; must outlive the batch).
-  /// Null resolves the process-wide table for `kernel_tier` — measured once
-  /// at first use, or the HARMONY_KERNEL_TUNE profile when set. Tests pin a
-  /// table here to make the recorded shape independent of machine noise.
-  const KernelTuneTable* kernel_tune = nullptr;
 };
 
 }  // namespace harmony

@@ -52,12 +52,6 @@ Result<ExecContext> MakeExecContext(const IvfIndex& index,
         std::string("requested kernel tier is not available on this CPU: ") +
         KernelTierName(opts.kernel_tier));
   }
-  if (opts.kernel_tune != nullptr &&
-      (opts.kernel_tune->tier == KernelTier::kAuto ||
-       !KernelTierAvailable(opts.kernel_tune->tier))) {
-    return Status::InvalidArgument(
-        "pinned kernel tune table names an unavailable tier");
-  }
   if (opts.use_pq_streams) {
     if (opts.pq == nullptr || !opts.pq->trained()) {
       return Status::InvalidArgument(
@@ -88,14 +82,9 @@ Result<ExecContext> MakeExecContext(const IvfIndex& index,
   ctx.store_generation = opts.store_generation;
   ctx.replication = plan.replication;
   ctx.routed = ctx.replication > 1;  // AttachFaults widens this when faulty.
-  // Record the batch's kernel dispatch once: an explicitly pinned table wins
-  // (tests / reproducible replays), otherwise the process-wide tuned table
-  // for the requested tier. Shapes are bit-transparent, so this choice
-  // moves throughput only — but recording it in the context is what lets
-  // simulated and threaded runs of one batch replay the identical kernels.
-  ctx.kernel_tune = opts.kernel_tune != nullptr
-                        ? opts.kernel_tune
-                        : &ResolveKernelTune(opts.kernel_tier);
+  // Record the batch's kernel dispatch once, so simulated and threaded
+  // runs of one batch replay the identical kernels.
+  ctx.kernel_tune = &ResolveKernelTune(opts.kernel_tier);
   if (opts.use_pq_streams) {
     ctx.use_pq = true;
     // The ADC tables are built by the stages that scan them

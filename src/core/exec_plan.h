@@ -135,18 +135,18 @@ struct ExecContext {
   /// readers treat a missing tracker as "every node healthy".
   NodeHealthTracker* health = nullptr;
 
-  /// Resolved kernel tune table of this batch (never null after
-  /// MakeExecContext): the dispatch tier plus per-(metric, width-bucket)
-  /// tile shapes every scan stage of both engines runs with. Recording it
-  /// here — rather than letting each stage consult process state — is what
-  /// makes the tile selection plan-recorded: simulated and threaded replays
-  /// of one batch execute the identical kernels.
+  /// Resolved kernel table of this batch (never null after
+  /// MakeExecContext): the dispatch tier plus the per-metric tile shapes
+  /// every scan stage of both engines runs with. Recording it here, rather
+  /// than letting each stage consult process state, is what makes
+  /// simulated and threaded replays of one batch execute the identical
+  /// kernels.
   const KernelTuneTable* kernel_tune = nullptr;
 
-  /// The stage dispatch for one dimension-block width under this batch's
-  /// recorded tune table (metric comes from the options).
-  KernelDispatch DispatchFor(size_t width) const {
-    return kernel_tune->DispatchFor(opts->metric, width);
+  /// The stage dispatch under this batch's recorded table (metric comes
+  /// from the options).
+  KernelDispatch Dispatch() const {
+    return kernel_tune->DispatchFor(opts->metric);
   }
 
   void AttachFaults(const FaultInjector* injector) {

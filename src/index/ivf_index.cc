@@ -174,7 +174,7 @@ std::vector<int32_t> IvfIndex::ProbeLists(const float* query,
   // selected prefix) instead of ordering the whole scored set. Ties break
   // by list id, matching the historical (distance, id) partial sort.
   std::vector<float> scores(nlist(), 0.0f);
-  const KernelDispatch kd = DefaultDispatch(Metric::kL2, dim());
+  const KernelDispatch kd = DefaultDispatch(Metric::kL2);
   kd.table->l2_batch(query, centroids_.Row(0), nlist(), dim(), scores.data(),
                      kd.shape);
   std::vector<int32_t> out(nlist());
@@ -202,7 +202,7 @@ Result<std::vector<Neighbor>> IvfIndex::Search(const float* query, size_t k,
     return Status::InvalidArgument("k and nprobe must be > 0");
   }
   TopKHeap heap(k);
-  const KernelDispatch kd = DefaultDispatch(metric(), dim());
+  const KernelDispatch kd = DefaultDispatch(metric());
   const bool use_l2 = metric() == Metric::kL2;
   std::vector<float> scores;
   for (const int32_t list : ProbeLists(query, nprobe)) {

@@ -75,7 +75,7 @@ Dataset SeedCentroids(const DatasetView& data, const KMeansParams& params,
       const size_t lo = r * n / ranges;
       const size_t hi = (r + 1) * n / ranges;
       std::fill(dist_sq.begin() + lo, dist_sq.begin() + hi, 0.0f);
-      const KernelDispatch kd = DefaultDispatch(Metric::kL2, dim);
+      const KernelDispatch kd = DefaultDispatch(Metric::kL2);
       kd.table->l2_batch(prev, data.Row(lo), hi - lo, dim,
                          dist_sq.data() + lo, kd.shape);
     });
@@ -144,7 +144,7 @@ void AssignPoints(const DatasetView& data, const DatasetView& cent,
     const size_t lo = r * n / ranges;
     const size_t hi = (r + 1) * n / ranges;
     std::vector<float> cent_dist(k);
-    const KernelDispatch kd = DefaultDispatch(Metric::kL2, dim);
+    const KernelDispatch kd = DefaultDispatch(Metric::kL2);
     double* rsums = sums != nullptr ? part_sums.data() + r * k * dim : nullptr;
     int64_t* rsizes = part_sizes.data() + r * k;
     double inertia = 0.0;
@@ -181,8 +181,7 @@ void AssignPoints(const DatasetView& data, const DatasetView& cent,
 
 int32_t NearestCentroid(const DatasetView& centroids, const float* vec) {
   thread_local std::vector<float> scores;
-  return ArgminCentroid(DefaultDispatch(Metric::kL2, centroids.dim()),
-                        centroids, vec, &scores);
+  return ArgminCentroid(DefaultDispatch(Metric::kL2), centroids, vec, &scores);
 }
 
 Result<KMeansResult> TrainKMeans(const DatasetView& data,

@@ -13,7 +13,8 @@ namespace portable {
 float L2Row(const float* a, const float* b, size_t width) {
   // Four accumulators let the compiler vectorize without relying on
   // -ffast-math reassociation. This body is the bitwise reference for every
-  // other L2 kernel in the table.
+  // other L2 kernel in the table; the TU compiles with -ffp-contract=off, so
+  // no -march contracts its multiply-adds into FMAs.
   float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
   size_t i = 0;
   for (; i + 4 <= width; i += 4) {
@@ -157,21 +158,6 @@ void AdcBatch(const float* lut, size_t ksub, const uint8_t* codes,
 
 namespace {
 
-/// One accumulation step `acc + x * y` exactly as the row bodies' `acc +=
-/// x * y` compiles: where the target has an FMA instruction the compilers
-/// contract that statement into one fused operation (GCC contracts it
-/// across statements by default, Clang within the expression), and without
-/// one it is rounded twice. Spelling the choice out keeps the lane kernel
-/// bitwise equal to the row bodies however the vectorizer reshapes its
-/// loops.
-inline float MulAdd(float x, float y, float acc) {
-#if defined(__FP_FAST_FMAF)
-  return std::fma(x, y, acc);
-#else
-  return acc + x * y;
-#endif
-}
-
 /// Scores `n` (<= kLanes) adjacent codewords starting at column `col` of a
 /// dimension-major codebook. Lane l carries L2Row's / IpRow's four
 /// accumulators for its codeword and performs their additions in the row
@@ -186,10 +172,10 @@ void CodewordLanes(const float* q, const float* col, size_t width,
         acc3[kLanes] = {};
   auto step = [](float a, float b, float acc) {
     if constexpr (kIp) {
-      return MulAdd(a, b, acc);
+      return acc + a * b;
     } else {
       const float d = a - b;
-      return MulAdd(d, d, acc);
+      return acc + d * d;
     }
   };
   size_t i = 0;

@@ -28,7 +28,7 @@ bool KernelTierAvailable(KernelTier tier);
 
 /// HARMONY_KERNEL_TIER, parsed once: the process-wide pin CI legs use to
 /// run a whole test binary on one tier — the kernel table and the engine's
-/// tune table alike. kAuto when unset, unparsable or unavailable.
+/// tile shapes alike. kAuto when unset, unparsable or unavailable.
 KernelTier PinnedKernelTier();
 
 /// Maps a requested tier to the one dispatch will actually use: kAuto picks
@@ -38,14 +38,13 @@ KernelTier PinnedKernelTier();
 /// back to the widest available one.
 KernelTier ResolveKernelTier(KernelTier requested);
 
-/// \brief Tile shape of the batch/group kernels — the knobs the startup
-/// micro-autotuner (index/kernel_tune.h) searches over.
+/// \brief Tile shape of the batch/group kernels.
 ///
 /// Every shape computes bit-identical results: the per-(query,row)
 /// accumulation order is frozen by the tier, and the shape only decides how
 /// many independent rows'/queries' accumulation chains are carried
 /// concurrently and how far ahead rows are software-prefetched. Each tier's
-/// default shape lives in DefaultKernelTune (index/kernel_tune.cc).
+/// fixed shape per metric lives in index/kernel_tune.cc.
 struct KernelShape {
   uint8_t row_block = 4;   ///< Rows per register tile (4, 6 or 8).
   uint8_t query_tile = 4;  ///< Queries per group tile (2, 4 or 8).
@@ -79,8 +78,8 @@ struct KernelShape {
 ///    that of the single-row kernel of the same tier, so batched, grouped
 ///    and per-row scans of any shape produce bit-identical partial sums.
 ///    This is what keeps determinism tests, fault-replay byte-identity, and
-///    the simulator's `DistanceOpCost` accounting unchanged — and what lets
-///    the autotuner pick any shape freely.
+///    the simulator's `DistanceOpCost` accounting unchanged, whatever shape
+///    a tier runs.
 struct ScanKernelTable {
   /// Single-row partials; same results as PartialL2Sq / PartialIp.
   float (*l2_row)(const float* a, const float* b, size_t width);

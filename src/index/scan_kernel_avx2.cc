@@ -273,8 +273,8 @@ namespace {
 
 /// Query-tiled scan over one row at a time: the row chunks v0/v1 are loaded
 /// once and scored against NQ queries (two accumulators each — NQ <= 4
-/// keeps 2*NQ + 2 + 1 ymm registers live; wider tiles spill and exist only
-/// for the autotuner to measure and reject on this tier). Per (query, row)
+/// keeps 2*NQ + 2 + 1 ymm registers live; wider tiles spill, and exist so
+/// every KernelShape is valid on every tier). Per (query, row)
 /// the chunking, accumulator split, reduction, and scalar tail are exactly
 /// the single-row scheme, so the tile is bit-identical to NQ independent
 /// batch calls.

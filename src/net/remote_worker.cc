@@ -7,6 +7,7 @@
 
 #include "core/block_scan.h"
 #include "core/partition.h"
+#include "index/kernel_tune.h"
 
 namespace harmony {
 namespace {
@@ -107,9 +108,6 @@ Status SocketWorker::Init() {
   HARMONY_ASSIGN_OR_RETURN(snap_, engine_->AcquireSnapshot());
   HARMONY_ASSIGN_OR_RETURN(
       hello_, MakeEngineHello(engine_, opts_.worker_id, opts_.num_workers));
-  // Tuned here, before the worker serves, so the first RPC never pays the
-  // autotuner.
-  kernel_tune_ = &ResolveKernelTune(KernelTier::kAuto);
   init_done_ = true;
   return Status::OK();
 }
@@ -196,11 +194,11 @@ Result<std::vector<uint32_t>> SocketWorker::HandleStageScan(
   scan.width = req.width;
   scan.slices = slices.data();
   scan.use_batched = req.use_batched;
-  // The worker's own tuned table, exactly as an unpinned in-process batch
-  // dispatches. Tiers and tuned shapes are bit-transparent, so the reply is
+  // The worker's kAuto table, exactly as an unpinned in-process batch
+  // dispatches. Tiers and shapes are bit-transparent, so the reply is
   // bit-identical to the frontend's own scan whichever tier either process
   // runs.
-  scan.dispatch = kernel_tune_->DispatchFor(scan.metric, scan.width);
+  scan.dispatch = DefaultDispatch(scan.metric);
   BlockScanCounters counters;
   const size_t w = ScanBlock(scan, 0, count, req.id.data(), req.list.data(),
                              req.row.data(), req.partial.data(),

@@ -7,7 +7,6 @@
 
 #include "core/engine.h"
 #include "core/worker.h"
-#include "index/kernel_tune.h"
 #include "net/socket_fault.h"
 #include "net/socket_proto.h"
 #include "net/socket_transport.h"
@@ -61,9 +60,8 @@ class SocketWorker {
 
   SocketWorker(HarmonyEngine* engine, SocketWorkerOptions opts);
 
-  /// Acquires the snapshot, computes the handshake identity and resolves
-  /// the kernel tune table its scans dispatch with. Call once before Serve;
-  /// re-call after engine mutations to serve the new epoch.
+  /// Acquires the snapshot and computes the handshake identity. Call once
+  /// before Serve; re-call after engine mutations to serve the new epoch.
   Status Init();
 
   const WorkerHello& hello() const { return hello_; }
@@ -92,8 +90,6 @@ class SocketWorker {
   HarmonyEngine* engine_;
   SocketWorkerOptions opts_;
   StoreSnapshot snap_;
-  /// The process-wide tuned kernel table (kAuto), resolved by Init.
-  const KernelTuneTable* kernel_tune_ = nullptr;
   WorkerHello hello_;
   SocketFaultInjector shim_;
   uint64_t frames_before_channel_ = 0;

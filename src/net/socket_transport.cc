@@ -32,18 +32,19 @@ int64_t DeadlineAt(int64_t budget_ms) {
   return budget_ms < 0 ? -1 : NowMillis() + budget_ms;
 }
 
-/// Remaining poll timeout toward `deadline_at` (-1 = block).
-Result<int> PollTimeout(int64_t deadline_at) {
+/// Remaining poll timeout toward `deadline_at` (-1 = block). Past the
+/// deadline it is 0: the caller may have been late itself, so the fd still
+/// gets one non-blocking look before the wait counts as expired.
+int PollTimeout(int64_t deadline_at) {
   if (deadline_at < 0) return -1;
-  const int64_t rem = deadline_at - NowMillis();
-  if (rem <= 0) return Status::Timeout("socket deadline expired");
-  return static_cast<int>(std::min<int64_t>(rem, 1 << 30));
+  return static_cast<int>(
+      std::clamp<int64_t>(deadline_at - NowMillis(), 0, 1 << 30));
 }
 
 /// Polls `fd` for `events` until readable/writable or the deadline passes.
 Status PollFor(int fd, short events, int64_t deadline_at) {
   while (true) {
-    HARMONY_ASSIGN_OR_RETURN(const int timeout, PollTimeout(deadline_at));
+    const int timeout = PollTimeout(deadline_at);
     struct pollfd pfd;
     pfd.fd = fd;
     pfd.events = events;

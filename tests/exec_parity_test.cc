@@ -378,23 +378,25 @@ TEST(ExecParityTest, CandidateArraysMatchNaiveSliceWalk) {
   EXPECT_GT(skipped_in_chain, 0u);
 }
 
-// Kernel dispatch tiers and the plan-recorded tune table
+// Kernel dispatch tiers and the plan-recorded kernel table
 // (docs/kernels.md): for every tier this machine can run, pinning the tier
-// keeps the two engines bit-identical, and pinning a *custom* tune profile
-// (different tile shapes) replays the exact same result bits — the
-// recorded shape moves throughput, never results. AVX2 and AVX-512 are
-// additionally one bitwise family, so their results must match each other.
+// keeps the two engines bit-identical. AVX2 and AVX-512 are one bitwise
+// family, so their results must also match each other. (Each tier's shape
+// is bit-transparent: ScanKernelTest.ShapedBatchBitIdenticalForAllShapes.)
 TEST(ExecParityTest, KernelTierAndTunePinSweep) {
   const SmallWorld world = MakeSmallWorld(2500, 32, 8, 8, 25);
   const size_t machines = 4;
   const RunSetup setup = MakeSetup(world, machines, 2, 2, 4, 4);
 
-  const auto run_pair = [&](KernelTier tier, const KernelTuneTable* tune) {
+  std::vector<std::vector<Neighbor>> avx2_results, avx512_results;
+  for (const KernelTier tier :
+       {KernelTier::kPortable, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (!KernelTierAvailable(tier)) continue;
+    SCOPED_TRACE(KernelTierName(tier));
     ExecOptions opts;  // engine defaults: pipeline + pruning + grouping on
     opts.k = 10;
     opts.nprobe = 4;
     opts.kernel_tier = tier;
-    opts.kernel_tune = tune;
     SimCluster cluster(machines);
     auto sim = ExecuteSimulated(world.index, setup.plan, setup.stores,
                                 setup.prewarm, setup.routing,
@@ -402,63 +404,15 @@ TEST(ExecParityTest, KernelTierAndTunePinSweep) {
     auto thr = ExecuteThreaded(world.index, setup.plan, setup.stores,
                                setup.prewarm, setup.routing,
                                world.workload.queries.View(), opts);
-    EXPECT_TRUE(sim.ok()) << sim.status();
-    EXPECT_TRUE(thr.ok()) << thr.status();
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    ASSERT_TRUE(thr.ok()) << thr.status();
     ExpectBitIdenticalResults(sim.value().results, thr.value().results);
-    return sim.value().results;
-  };
-
-  std::vector<std::vector<Neighbor>> avx2_results, avx512_results;
-  for (const KernelTier tier :
-       {KernelTier::kPortable, KernelTier::kAvx2, KernelTier::kAvx512}) {
-    if (!KernelTierAvailable(tier)) continue;
-    SCOPED_TRACE(KernelTierName(tier));
-    const auto base = run_pair(tier, nullptr);
-    // A deliberately different pinned profile: max row blocks, widest query
-    // tiles, farthest prefetch. Same bits, by the shape-transparency
-    // contract.
-    KernelTuneTable custom = DefaultKernelTune(tier);
-    for (size_t m = 0; m < 2; ++m) {
-      for (size_t b = 0; b < KernelTuneTable::kNumBuckets; ++b) {
-        custom.shapes[m][b] = KernelShape{8, 8, 8};
-      }
-    }
-    const auto shaped = run_pair(tier, &custom);
-    ExpectBitIdenticalResults(base, shaped);
-    // And the narrow extreme: per-row-sized blocks, minimal tiles, no
-    // prefetch.
-    for (size_t m = 0; m < 2; ++m) {
-      for (size_t b = 0; b < KernelTuneTable::kNumBuckets; ++b) {
-        custom.shapes[m][b] = KernelShape{4, 2, 0};
-      }
-    }
-    const auto narrow = run_pair(tier, &custom);
-    ExpectBitIdenticalResults(base, narrow);
-    if (tier == KernelTier::kAvx2) avx2_results = base;
-    if (tier == KernelTier::kAvx512) avx512_results = base;
+    if (tier == KernelTier::kAvx2) avx2_results = sim.value().results;
+    if (tier == KernelTier::kAvx512) avx512_results = sim.value().results;
   }
   if (!avx2_results.empty() && !avx512_results.empty()) {
     ExpectBitIdenticalResults(avx2_results, avx512_results);
   }
-}
-
-// A pinned tune table naming an unresolved or unavailable tier is rejected
-// up front, not silently re-resolved.
-TEST(ExecParityTest, BadKernelTunePinIsRejected) {
-  const SmallWorld world = MakeSmallWorld(500, 32, 8, 4, 10);
-  const size_t machines = 4;
-  const RunSetup setup = MakeSetup(world, machines, 2, 2, 4, 1);
-  ExecOptions opts;
-  opts.k = 10;
-  opts.nprobe = 4;
-  KernelTuneTable bad = DefaultKernelTune(KernelTier::kPortable);
-  bad.tier = KernelTier::kAuto;
-  opts.kernel_tune = &bad;
-  SimCluster cluster(machines);
-  auto sim = ExecuteSimulated(world.index, setup.plan, setup.stores,
-                              setup.prewarm, setup.routing,
-                              world.workload.queries.View(), opts, &cluster);
-  EXPECT_FALSE(sim.ok());
 }
 
 // Replicated plans: the same cross-engine agreement must hold with R > 1
@@ -875,7 +829,7 @@ TEST(ExecParityTest, FailoverZeroDegradedUnderCrashAndDrops) {
 // portable kernels accumulate rows wider than 16 in a different order.
 
 /// The checksum of the kernel family the engine's batches dispatch on (the
-/// tune table kAuto resolves to; HARMONY_KERNEL_TIER pins it).
+/// kernel table kAuto resolves to; HARMONY_KERNEL_TIER pins it).
 uint64_t ByKernelFamily(uint64_t simd, uint64_t portable) {
   return ResolveKernelTune(KernelTier::kAuto).tier == KernelTier::kPortable
              ? portable
@@ -1076,6 +1030,17 @@ TEST(ExecPinnedGoldens, SimulatedDefaultsHealthy) {
   EXPECT_EQ(want.results_checksum, ResultChecksum(thr.value().results));
 }
 
+/// Pins of one ungrouped, staggered, replicated run with seeded drops.
+struct StaggerDropsGolden {
+  uint64_t results_checksum;
+  uint64_t bytes_streamed;
+  uint64_t messages_dropped;
+  uint64_t retries;
+  uint64_t blocks_lost;
+  uint64_t failovers;
+  size_t degraded_queries;
+};
+
 // Ungrouped dispatch with the pipeline stagger on: every chain walks its
 // own rotation of the four dimension blocks, over R = 2 replicas with
 // seeded drops, so the static replica walk, its failovers and the rotated
@@ -1084,10 +1049,9 @@ TEST(ExecPinnedGoldens, SimulatedDefaultsHealthy) {
 // so with pruning on the survivor counts (hence bytes and the hop retries
 // booked for chains that still had candidates) follow thread timing. The
 // pruned run must land on the same result set — pruning is sound.
-TEST(ExecPinnedGoldens, UngroupedStaggerReplicatedDrops) {
-  // 64 dims over 4 blocks: 16-wide slices keep every scan on the SIMD
-  // kernels, whose bits do not depend on the compiler's FMA contraction.
-  const SmallWorld world = MakeSmallWorld(2500, 64, 8, 8, 25);
+void CheckUngroupedStaggerReplicatedDrops(size_t dim,
+                                          const StaggerDropsGolden& want) {
+  const SmallWorld world = MakeSmallWorld(2500, dim, 8, 8, 25);
   const RunSetup setup = MakeSetup(world, 4, 1, 4, 4, /*group_size=*/1,
                                    /*with_norms=*/false, /*replication=*/2);
   ExecOptions opts;  // defaults: pipeline stagger + dynamic order on
@@ -1109,25 +1073,42 @@ TEST(ExecPinnedGoldens, UngroupedStaggerReplicatedDrops) {
   const uint64_t checksum = ResultChecksum(out.results);
   std::printf("golden capture: 0x%016" PRIx64 "ull %" PRIu64 " %s\n",
               checksum, out.bytes_streamed, out.faults.ToString().c_str());
-  const uint64_t want_checksum =
-      ByKernelFamily(0x4fdb1aa98336b7e6ull, 0x4fdb1aa98336b8a3ull);
-  EXPECT_EQ(want_checksum, checksum);
-  EXPECT_EQ(8729600ull, out.bytes_streamed);
-  EXPECT_EQ(140ull, out.faults.messages_dropped);
-  EXPECT_EQ(59ull, out.faults.retries);
-  EXPECT_EQ(6ull, out.faults.blocks_lost);
+  EXPECT_EQ(want.results_checksum, checksum);
+  EXPECT_EQ(want.bytes_streamed, out.bytes_streamed);
+  EXPECT_EQ(want.messages_dropped, out.faults.messages_dropped);
+  EXPECT_EQ(want.retries, out.faults.retries);
+  EXPECT_EQ(want.blocks_lost, out.faults.blocks_lost);
   EXPECT_EQ(0ull, out.faults.shards_lost);
-  EXPECT_EQ(21ull, out.faults.failovers);
+  EXPECT_EQ(want.failovers, out.faults.failovers);
   EXPECT_EQ(0ull, out.faults.hedged);
-  EXPECT_EQ(6u, out.faults.degraded_queries);
+  EXPECT_EQ(want.degraded_queries, out.faults.degraded_queries);
 
   opts.enable_pruning = true;
   auto pruned = ExecuteThreaded(world.index, setup.plan, setup.stores,
                                 setup.prewarm, setup.routing,
                                 world.workload.queries.View(), opts);
   ASSERT_TRUE(pruned.ok()) << pruned.status();
-  EXPECT_EQ(want_checksum, ResultChecksum(pruned.value().results));
+  EXPECT_EQ(want.results_checksum, ResultChecksum(pruned.value().results));
   EXPECT_EQ(out.degraded, pruned.value().degraded);
+}
+
+TEST(ExecPinnedGoldens, UngroupedStaggerReplicatedDrops) {
+  // 64 dims over 4 blocks: 16-wide slices keep every scan on the SIMD
+  // kernels of the resolved tier.
+  CheckUngroupedStaggerReplicatedDrops(
+      64, {ByKernelFamily(0x4fdb1aa98336b7e6ull, 0x4fdb1aa98336b8a3ull),
+           8729600ull, 140ull, 59ull, 6ull, 21ull, 6u});
+}
+
+// The same run over 32 dims: 8-wide slices put every block scan on the
+// portable bodies, which every tier runs below width 16 (scans at the full
+// 32-dim width still split the families). Those bodies' bits
+// must not depend on the compiler flags: scan_kernel.cc compiles with
+// -ffp-contract=off, so a -march=native build reads this same checksum.
+TEST(ExecPinnedGoldens, UngroupedStaggerReplicatedDropsNarrowBlocks) {
+  CheckUngroupedStaggerReplicatedDrops(
+      32, {ByKernelFamily(0x78e70e3b33d7b7c4ull, 0x78e70e3b33d7b7a7ull),
+           3423360ull, 140ull, 59ull, 6ull, 21ull, 6u});
 }
 
 TEST(ExecPinnedGoldens, SimulatedDroppyLanes) {

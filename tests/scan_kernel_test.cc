@@ -38,11 +38,10 @@ std::vector<float> RandomVec(size_t n, uint64_t seed) {
   return v;
 }
 
-// The default shape of `tier` for (metric, width): what the kernels run
-// with outside a tuned execution context.
-KernelShape DefaultShape(KernelTier tier, bool ip, size_t w) {
-  return DefaultKernelTune(tier).shape(ip ? Metric::kInnerProduct : Metric::kL2,
-                                       w);
+// The fixed shape of `tier` for one metric: what the engines dispatch.
+KernelShape DefaultShape(KernelTier tier, bool ip) {
+  return ResolveKernelTune(tier).shape(ip ? Metric::kInnerProduct
+                                          : Metric::kL2);
 }
 
 // Width sweep covering every scalar-tail length, both sides of the AVX2
@@ -117,7 +116,7 @@ void CheckBatchMatchesRows(bool ip) {
         const float* r = rows.data() + i * w;
         expect[i] += ip ? kt.ip_row(q.data(), r, w) : kt.l2_row(q.data(), r, w);
       }
-      const KernelShape shape = DefaultShape(KernelTier::kAuto, ip, w);
+      const KernelShape shape = DefaultShape(KernelTier::kAuto, ip);
       if (ip) {
         kt.ip_batch(q.data(), rows.data(), n, w, accum.data(), shape);
       } else {
@@ -148,7 +147,7 @@ TEST(ScanKernelTest, PortableBatchMatchesPortableRows) {
       expect[i] = portable::L2Row(q.data(), rows.data() + i * w, w);
     }
     portable::L2Batch(q.data(), rows.data(), 9, w, accum.data(),
-                      DefaultShape(KernelTier::kPortable, false, w));
+                      DefaultShape(KernelTier::kPortable, false));
     EXPECT_EQ(std::memcmp(accum.data(), expect.data(), 9 * sizeof(float)), 0);
   }
 }
@@ -168,7 +167,7 @@ TEST(ScanKernelTest, BatchHandlesUnalignedPointers) {
       expect[i] = kt.l2_row(q, rows + i * w, w);
     }
     kt.l2_batch(q, rows, n, w, accum.data(),
-                DefaultShape(KernelTier::kAuto, false, w));
+                DefaultShape(KernelTier::kAuto, false));
     EXPECT_EQ(std::memcmp(accum.data(), expect.data(), n * sizeof(float)), 0)
         << "width " << w;
   }
@@ -231,7 +230,7 @@ void CheckGroupMatchesBatches(bool ip, bool use_portable) {
                             : (ip ? kt.ip_group : kt.l2_group);
   const size_t counts[] = {1, 3, 4, 5, 17};
   for (const size_t w : Widths()) {
-    const KernelShape shape = DefaultShape(tier, ip, w);
+    const KernelShape shape = DefaultShape(tier, ip);
     for (size_t nq = 1; nq <= shape.query_tile + size_t{2}; ++nq) {
       for (const size_t count : counts) {
         std::vector<std::vector<float>> qs;
@@ -283,13 +282,13 @@ TEST(ScanKernelTest, PortableGroupMatchesPortableBatches) {
   CheckGroupMatchesBatches(/*ip=*/true, /*use_portable=*/true);
 }
 
-// --- Every tuner-reachable shape is bit-transparent. --------------------
+// --- Every shape is bit-transparent. -------------------------------------
 
-// The autotuner's whole license to pick shapes freely (kernel_tune.h) is
-// that row_block / query_tile / prefetch only reorder *which* frozen
-// per-row chains run concurrently, never the chains themselves. Verify:
-// for every shape in the candidate grid, the batch and group kernels
-// reproduce the row-kernel results bit-for-bit on the resolved table.
+// row_block / query_tile / prefetch only reorder *which* frozen per-row
+// chains run concurrently, never the chains themselves, so a tier's shape
+// moves throughput and never results. Verify: for every shape in the grid,
+// the batch and group kernels reproduce the row-kernel results
+// bit-for-bit on the resolved table.
 TEST(ScanKernelTest, ShapedBatchBitIdenticalForAllShapes) {
   const ScanKernelTable& kt = ScanKernels();
   const size_t counts[] = {1, 3, 4, 5, 7, 8, 9, 17, 64};
@@ -411,18 +410,18 @@ TEST_F(Avx512ParityTest, BatchKernelsMatchAvx2Bitwise) {
       std::vector<float> a2(a5);
       // Each tier at its own default shape.
       avx512::L2Batch(q.data(), rows.data(), n, w, a5.data(),
-                      DefaultShape(KernelTier::kAvx512, false, w));
+                      DefaultShape(KernelTier::kAvx512, false));
       avx2::L2Batch(q.data(), rows.data(), n, w, a2.data(),
-                    DefaultShape(KernelTier::kAvx2, false, w));
+                    DefaultShape(KernelTier::kAvx2, false));
       ASSERT_EQ(std::memcmp(a5.data(), a2.data(), n * sizeof(float)), 0)
           << "l2 width " << w << " count " << n;
       avx512::IpBatch(q.data(), rows.data(), n, w, a5.data(),
-                      DefaultShape(KernelTier::kAvx512, true, w));
+                      DefaultShape(KernelTier::kAvx512, true));
       avx2::IpBatch(q.data(), rows.data(), n, w, a2.data(),
-                    DefaultShape(KernelTier::kAvx2, true, w));
+                    DefaultShape(KernelTier::kAvx2, true));
       ASSERT_EQ(std::memcmp(a5.data(), a2.data(), n * sizeof(float)), 0)
           << "ip width " << w << " count " << n;
-      // Shaped entries across the tuner grid agree too.
+      // Shaped entries across the shape grid agree too.
       for (const uint8_t rb : {uint8_t{4}, uint8_t{6}, uint8_t{8}}) {
         const KernelShape shape{rb, 4, 2};
         avx512::L2Batch(q.data(), rows.data(), n, w, a5.data(), shape);
@@ -455,9 +454,9 @@ TEST_F(Avx512ParityTest, GroupKernelsMatchAvx2Bitwise) {
           p2.push_back(g2[g].data());
         }
         avx512::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p5.data(),
-                        DefaultShape(KernelTier::kAvx512, true, w));
+                        DefaultShape(KernelTier::kAvx512, true));
         avx2::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p2.data(),
-                      DefaultShape(KernelTier::kAvx2, true, w));
+                      DefaultShape(KernelTier::kAvx2, true));
         for (size_t g = 0; g < nq; ++g) {
           ASSERT_EQ(std::memcmp(g5[g].data(), g2[g].data(),
                                 count * sizeof(float)),
@@ -584,7 +583,7 @@ void CheckScanBlockParity(Metric metric, bool prune, bool use_norms) {
   p.q_slice = blk.query.data() + blk.range.begin;
   p.width = blk.range.width();
   p.slices = blk.slices.data();
-  p.dispatch = DefaultDispatch(metric, p.width);
+  p.dispatch = DefaultDispatch(metric);
 
   // Pick tau at the median prune bound so roughly half the candidates drop.
   if (prune) {

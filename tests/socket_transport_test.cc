@@ -710,6 +710,35 @@ TEST(SocketFaultTest, ShortReadShimStillDeliversIntactMessages) {
   }
 }
 
+// A receiver that is itself late — here it stalls well past its deadline
+// before reading — still takes a message that already sits in the socket:
+// past the deadline the channel polls once more, and only an fd with
+// nothing to read is a timeout. The lateness is the receiver's own, so
+// blaming the peer would be wrong.
+TEST(SocketFaultTest, ReceiverStalledPastItsDeadlineTakesAWrittenMessage) {
+  SocketFaultPlan plan;
+  plan.seed = 78;
+  plan.stall_prob = 1.0;
+  plan.stall_micros = 200000;
+  auto pair = MakeChannelPair(6);
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  SocketChannel client = std::move(pair.value().first);
+  SocketChannel server = std::move(pair.value().second);
+  SocketFaultInjector shim(plan, /*channel=*/1);
+  server.set_fault_injector(&shim);
+  server.set_deadline_millis(20);
+  const std::vector<uint32_t> payload = MakePayload(300, 7);
+  ASSERT_TRUE(client.Send(5, payload).ok());  // written in full
+  auto msg = server.Recv();
+  ASSERT_TRUE(msg.ok()) << msg.status();
+  EXPECT_EQ(msg.value().op, 5);
+  EXPECT_EQ(msg.value().payload, payload);
+  // Nothing written: the same late poll finds the fd idle.
+  auto idle = server.Recv();
+  ASSERT_FALSE(idle.ok());
+  EXPECT_EQ(idle.status().code(), StatusCode::kTimeout) << idle.status();
+}
+
 /// Everything `fd` delivers until the peer closes it.
 std::vector<uint8_t> ReadUntilEof(int fd) {
   std::vector<uint8_t> bytes;

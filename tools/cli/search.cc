@@ -101,10 +101,9 @@ Status RunSearch(const CliArgs& args) {
   HARMONY_ASSIGN_OR_RETURN(World world, BuildWorld(args, /*announce=*/true));
   const HarmonyOptions& options = world.options;
   const DatasetView queries = world.queries.View();
-  // The tier + tuned tile shapes every scan stage runs with (tuned once).
-  const KernelTuneTable& tune = ResolveKernelTune(options.kernel_tier);
-  std::printf("kernels: tier=%s tuned=%s\n", KernelTierName(tune.tier),
-              tune.ToString().c_str());
+  // The tier + tile shapes every scan stage runs with.
+  std::printf("kernels: tier=%s\n",
+              ResolveKernelTune(options.kernel_tier).ToString().c_str());
   if (options.use_pq_streams) {
     std::printf("pq streams: M=%zu bits=%zu rerank_depth=%zu\n",
                 options.pq_subspaces, options.pq_bits, options.rerank_depth);
