@@ -51,8 +51,9 @@ struct StageMember {
 /// stages by virtual time, so stage continuations carry explicit readiness
 /// instead of posts; its PostStage therefore executes the stage inline on
 /// the caller (the only time-free reading of "post" a virtual-clock
-/// substrate has). The socket backend also runs posts inline: its one
-/// frontend thread walks each baton while the workers scan.
+/// substrate has). The socket backend posts like the threaded one, into a
+/// ThreadedCluster with one frontend thread per worker connection, so the
+/// workers scan different batons at the same time.
 class ExecBackend {
  public:
   virtual ~ExecBackend() = default;
@@ -418,8 +419,8 @@ class ChainExecutor {
   /// blocks) norm columns of every task — a pure function of (context,
   /// chain, prewarmed ids) — in min(num_machines, tasks) interleaved parts.
   /// Part p > 0 runs on machine p via PostStage, part 0 on the caller, and
-  /// the call returns once every part has finished; a substrate whose
-  /// PostStage runs inline (sockets) fills serially through the same code.
+  /// the call returns once every part has finished. Over sockets machine p's
+  /// part runs on the frontend thread of the worker owning machine p.
   /// A task left with no candidate has nothing to scan (no posts needed).
   void FillChains(
       const std::vector<std::shared_ptr<ChainExecState>>& tasks) const;

@@ -126,9 +126,10 @@ Result<ThreadedOutput> RunChainBatch(
         1, std::memory_order_relaxed);
   }
 
-  // Node-health tracker: fed by the chain schedules (and, over sockets, by
-  // the stage RPCs) on the client thread, folded at each rank barrier so
-  // replica selection sees the same quarantine flags in every engine.
+  // Node-health tracker: fed by the chain schedules on the client thread
+  // (and, over sockets, by the stage RPCs on the frontend threads; its
+  // counters are atomic), folded at each rank barrier so replica selection
+  // sees the same quarantine flags in every engine.
   // Declared before the substrate opens, so any stage still draining
   // outlives nothing it touches.
   NodeHealthTracker health(plan.num_machines);

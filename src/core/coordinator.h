@@ -99,11 +99,12 @@ class ChainBatchBackend : public ExecBackend {
 /// barrier, and assembles the output from the ledger snapshot and the
 /// per-query state. Each rank's chains are prepared in two steps: the
 /// client allocates their states (slice tables, reserved candidate
-/// columns), the node pools fill the candidate arrays (inline on sockets,
-/// whose posts run on the caller), and the client then walks the chains in
-/// order for everything order-sensitive — skips, loss schedules, ledger
-/// bookings, group assembly and first-stage posts. A batch that overruns
-/// max_wall_seconds, checked between and within ranks, fails with kTimeout.
+/// columns), the node pools fill the candidate arrays (over sockets, the
+/// frontend threads of the worker connections), and the client then walks
+/// the chains in order for everything order-sensitive — skips, loss
+/// schedules, ledger bookings, group assembly and first-stage posts. A
+/// batch that overruns max_wall_seconds, checked between and within ranks,
+/// fails with kTimeout.
 Result<ThreadedOutput> RunChainBatch(
     const IvfIndex& index, const PartitionPlan& plan,
     const std::vector<WorkerStore>& stores, const PrewarmCache& prewarm,

@@ -126,8 +126,8 @@ bool SocketWorker::KillSwitchFired(const SocketChannel& ch) {
   return true;
 }
 
-Result<std::vector<uint32_t>> SocketWorker::HandleStageScan(
-    const std::vector<uint32_t>& payload) const {
+Status SocketWorker::HandleStageScan(const std::vector<uint32_t>& payload,
+                                     std::vector<uint32_t>* out) const {
   HARMONY_ASSIGN_OR_RETURN(StageScanRequest req,
                            DecodeStageScanRequest(payload));
   const PartitionPlan& plan = engine_->plan();
@@ -204,20 +204,19 @@ Result<std::vector<uint32_t>> SocketWorker::HandleStageScan(
                              req.row.data(), req.partial.data(),
                              req.use_norms ? req.rem_p_sq.data() : nullptr,
                              /*bound=*/nullptr, &counters);
+  // The reply is encoded straight from the columns ScanBlock compacted.
   StageScanResult res;
   res.ops = counters.ops;
   res.dropped = counters.dropped;
   res.has_norms = req.use_norms;
-  res.id.assign(req.id.begin(), req.id.begin() + w);
-  res.list.assign(req.list.begin(), req.list.begin() + w);
-  res.row.assign(req.row.begin(), req.row.begin() + w);
-  res.partial.assign(req.partial.begin(), req.partial.begin() + w);
-  if (req.use_norms) {
-    res.rem_p_sq.assign(req.rem_p_sq.begin(), req.rem_p_sq.begin() + w);
-  }
-  std::vector<uint32_t> out;
-  EncodeStageScanResult(res, &out);
-  return out;
+  res.survivors.count = w;
+  res.survivors.id = req.id.data();
+  res.survivors.list = req.list.data();
+  res.survivors.row = req.row.data();
+  res.survivors.partial = req.partial.data();
+  res.survivors.rem_p_sq = req.use_norms ? req.rem_p_sq.data() : nullptr;
+  EncodeStageScanResult(res, out);
+  return Status::OK();
 }
 
 Status SocketWorker::ServeChannel(SocketChannel* ch,
@@ -225,26 +224,29 @@ Status SocketWorker::ServeChannel(SocketChannel* ch,
   HARMONY_CHECK(init_done_);
   if (shim_.enabled()) ch->set_fault_injector(&shim_);
   ch->set_deadline_millis(opts_.poll_ms);
+  // Request and reply buffers live for the connection: a steady stream of
+  // stage scans reuses them.
+  WireMessage msg;
   std::vector<uint32_t> reply;
   // Stage scans are served only once this connection's hello matched the
   // worker's identity: a peer that skipped (or failed) the digest check
   // could be scanning a diverged store.
   bool handshaken = false;
   while (stop == nullptr || !stop->load(std::memory_order_relaxed)) {
-    Result<WireMessage> msg = ch->Recv();
-    if (!msg.ok()) {
-      const StatusCode code = msg.status().code();
+    const Status got = ch->Recv(&msg);
+    if (!got.ok()) {
+      const StatusCode code = got.code();
       // kTimeout means no byte of a request arrived within poll_ms, so the
       // stream is at a message boundary: idle, re-check stop.
       if (code == StatusCode::kTimeout) continue;
       if (code == StatusCode::kUnavailable) return Status::OK();  // hangup
-      return msg.status();  // torn/corrupt stream: drop the connection
+      return got;  // torn/corrupt stream: drop the connection
     }
     ++requests_served_;
     Status sent;
-    switch (msg.value().op) {
+    switch (msg.op) {
       case kOpHello: {
-        Result<WorkerHello> theirs = DecodeHello(msg.value().payload);
+        Result<WorkerHello> theirs = DecodeHello(msg.payload);
         Status check = theirs.ok()
                            ? CheckHelloMatch(hello_, theirs.value())
                            : theirs.status();
@@ -259,14 +261,14 @@ Status SocketWorker::ServeChannel(SocketChannel* ch,
         break;
       }
       case kOpStageScan: {
-        Result<std::vector<uint32_t>> res =
-            handshaken ? HandleStageScan(msg.value().payload)
+        const Status scanned =
+            handshaken ? HandleStageScan(msg.payload, &reply)
                        : Status::FailedPrecondition(
                              "stage scan before a matching hello handshake");
-        if (res.ok()) {
-          sent = ch->Send(kOpStageResult, res.value());
+        if (scanned.ok()) {
+          sent = ch->Send(kOpStageResult, reply);
         } else {
-          EncodeErrorStatus(res.status(), &reply);
+          EncodeErrorStatus(scanned, &reply);
           sent = ch->Send(kOpError, reply);
         }
         break;
@@ -280,7 +282,7 @@ Status SocketWorker::ServeChannel(SocketChannel* ch,
       default: {
         EncodeErrorStatus(
             Status::InvalidArgument("unknown opcode " +
-                                    std::to_string(msg.value().op)),
+                                    std::to_string(msg.op)),
             &reply);
         sent = ch->Send(kOpError, reply);
         break;

@@ -51,9 +51,10 @@ struct SocketWorkerOptions {
 /// \brief A worker process's serve loop: accepts connections on a listener
 /// and answers the RPC protocol (hello handshake, stage scans, pings)
 /// against its own engine's store snapshot. One connection is served at a
-/// time (the frontend's RPC stream is serial); a hung-up or torn connection
-/// never stops the loop — the worker goes back to accepting, which is what
-/// makes frontend reconnect-after-failure work.
+/// time: the frontend keeps one connection per worker and sends one request
+/// at a time on it, whichever of its threads makes the call. A hung-up or
+/// torn connection never stops the loop — the worker goes back to
+/// accepting, which is what makes frontend reconnect-after-failure work.
 class SocketWorker {
  public:
   static constexpr int kKillExitCode = 137;
@@ -81,8 +82,10 @@ class SocketWorker {
   Status ServeChannel(SocketChannel* ch, const std::atomic<bool>* stop);
 
  private:
-  Result<std::vector<uint32_t>> HandleStageScan(
-      const std::vector<uint32_t>& payload) const;
+  /// Decodes, validates and runs one stage scan, encoding the reply into
+  /// `*out` (reused across requests).
+  Status HandleStageScan(const std::vector<uint32_t>& payload,
+                         std::vector<uint32_t>* out) const;
   /// True when the fault plan's kill threshold is crossed; in process mode
   /// this call never returns.
   bool KillSwitchFired(const SocketChannel& ch);

@@ -1,12 +1,14 @@
 #include "net/socket_backend.h"
 
 #include <chrono>
+#include <mutex>
 #include <thread>
 #include <utility>
 
 #include "core/chain_exec.h"
 #include "core/exec_plan.h"
 #include "core/router.h"
+#include "net/threaded_cluster.h"
 
 namespace harmony {
 
@@ -22,15 +24,17 @@ Status SocketFrontend::Connect(const std::vector<SocketAddr>& workers,
   expect_ = expect;
   expect_.num_workers = static_cast<uint32_t>(workers.size());
   peers_.clear();
-  peers_.resize(workers.size());
   for (size_t w = 0; w < workers.size(); ++w) {
-    peers_[w].addr = workers[w];
+    auto peer = std::make_unique<Peer>();
+    peer->addr = workers[w];
     if (opts_.faults.enabled()) {
-      peers_[w].shim =
+      peer->shim =
           std::make_unique<SocketFaultInjector>(opts_.faults, 2ULL * w);
     }
+    peers_.push_back(std::move(peer));
   }
   for (size_t w = 0; w < workers.size(); ++w) {
+    std::lock_guard<std::mutex> lock(peers_[w]->mu);
     HARMONY_RETURN_NOT_OK(Dial(w));
   }
   return Status::OK();
@@ -38,12 +42,12 @@ Status SocketFrontend::Connect(const std::vector<SocketAddr>& workers,
 
 size_t SocketFrontend::workers_dead() const {
   size_t n = 0;
-  for (const Peer& p : peers_) n += p.dead ? 1 : 0;
+  for (size_t w = 0; w < peers_.size(); ++w) n += WorkerDead(w) ? 1 : 0;
   return n;
 }
 
 Status SocketFrontend::Dial(size_t w) {
-  Peer& p = peers_[w];
+  Peer& p = *peers_[w];
   p.ch.Close();
   HARMONY_ASSIGN_OR_RETURN(const int fd,
                            ConnectFd(p.addr, opts_.connect_deadline_ms));
@@ -64,21 +68,24 @@ Status SocketFrontend::Dial(size_t w) {
   HARMONY_ASSIGN_OR_RETURN(const WorkerHello theirs, DecodeHello(ack.payload));
   HARMONY_RETURN_NOT_OK(CheckHelloMatch(mine, theirs));
   p.ch = std::move(ch);
-  ++stats_.reconnects;
+  stats_.reconnects.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
-Result<WireMessage> SocketFrontend::Call(size_t w, uint16_t op,
-                                         const std::vector<uint32_t>& payload,
-                                         uint32_t* attempts_out) {
+Status SocketFrontend::Call(size_t w, uint16_t op, const uint32_t* payload,
+                            size_t words, WireMessage* reply,
+                            uint32_t* attempts_out) {
   HARMONY_CHECK(w < peers_.size());
   if (attempts_out != nullptr) *attempts_out = 0;
-  Peer& p = peers_[w];
-  if (p.dead) {
+  Peer& p = *peers_[w];
+  // One RPC per connection at a time: the lock spans every attempt, so a
+  // reply always answers the request sent just before it.
+  std::lock_guard<std::mutex> lock(p.mu);
+  if (p.dead.load(std::memory_order_acquire)) {
     return Status::Unavailable("worker " + std::to_string(w) +
                                " is marked dead");
   }
-  Status last = Status::Unavailable("no attempt made");
+  Status last;
   for (uint32_t attempt = 0; attempt < opts_.max_attempts; ++attempt) {
     if (attempt > 0) {
       // Deterministic capped exponential backoff: a pure function of
@@ -97,41 +104,43 @@ Result<WireMessage> SocketFrontend::Call(size_t w, uint16_t op,
           if (attempts_out != nullptr) *attempts_out = attempt + 1;
           return dialed;
         }
-        ++stats_.rpc_failures;
+        stats_.rpc_failures.fetch_add(1, std::memory_order_relaxed);
         last = std::move(dialed);
         continue;
       }
     }
-    Status sent = p.ch.Send(op, payload);
-    if (!sent.ok()) {
+    Status st = p.ch.Send(op, payload, words);
+    if (st.ok()) st = p.ch.Recv(reply);
+    if (!st.ok()) {
       p.ch.Close();
-      ++stats_.rpc_failures;
-      last = std::move(sent);
-      continue;
-    }
-    Result<WireMessage> reply = p.ch.Recv();
-    if (!reply.ok()) {
-      p.ch.Close();
-      ++stats_.rpc_failures;
-      last = reply.status();
+      stats_.rpc_failures.fetch_add(1, std::memory_order_relaxed);
+      last = std::move(st);
       continue;
     }
     if (attempts_out != nullptr) *attempts_out = attempt + 1;
-    ++stats_.rpcs;
+    stats_.rpcs.fetch_add(1, std::memory_order_relaxed);
     // Application-level rejection from a live worker: surface the Status
     // as-is, no retry (the request, not the transport, is the problem).
-    if (reply.value().op == kOpError) {
-      return DecodeErrorStatus(reply.value().payload);
-    }
-    return reply;
+    if (reply->op == kOpError) return DecodeErrorStatus(reply->payload);
+    return Status::OK();
   }
-  p.dead = true;
+  p.dead.store(true, std::memory_order_release);
   p.ch.Close();
-  ++stats_.workers_marked_dead;
+  stats_.workers_marked_dead.fetch_add(1, std::memory_order_relaxed);
   if (attempts_out != nullptr) *attempts_out = opts_.max_attempts;
   return Status::Unavailable(
       "worker " + std::to_string(w) + " unreachable after " +
-      std::to_string(opts_.max_attempts) + " attempts: " + last.message());
+      std::to_string(opts_.max_attempts) +
+      " attempts: " + (last.ok() ? "no attempt made" : last.message()));
+}
+
+Result<WireMessage> SocketFrontend::Call(size_t w, uint16_t op,
+                                         const std::vector<uint32_t>& payload,
+                                         uint32_t* attempts_out) {
+  WireMessage reply;
+  HARMONY_RETURN_NOT_OK(
+      Call(w, op, payload.data(), payload.size(), &reply, attempts_out));
+  return reply;
 }
 
 Status SocketFrontend::Ping(size_t w) {
@@ -145,7 +154,9 @@ Status SocketFrontend::Ping(size_t w) {
 
 Status SocketFrontend::ReconnectDead() {
   for (size_t w = 0; w < peers_.size(); ++w) {
-    if (!peers_[w].dead) continue;
+    Peer& p = *peers_[w];
+    std::lock_guard<std::mutex> lock(p.mu);
+    if (!p.dead.load(std::memory_order_acquire)) continue;
     bool joined = false;
     for (uint32_t attempt = 0; attempt < opts_.max_attempts && !joined;
          ++attempt) {
@@ -162,16 +173,18 @@ Status SocketFrontend::ReconnectDead() {
       }
     }
     if (joined) {
-      peers_[w].dead = false;
-      ++stats_.workers_rejoined;
+      p.dead.store(false, std::memory_order_release);
+      stats_.workers_rejoined.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return Status::OK();
 }
 
 void SocketFrontend::ShutdownWorkers() {
-  for (Peer& p : peers_) {
-    if (!p.dead && p.ch.valid()) {
+  for (const std::unique_ptr<Peer>& peer : peers_) {
+    Peer& p = *peer;
+    std::lock_guard<std::mutex> lock(p.mu);
+    if (!p.dead.load(std::memory_order_acquire) && p.ch.valid()) {
       (void)p.ch.Send(kOpShutdown, nullptr, 0);
     }
   }
@@ -179,52 +192,60 @@ void SocketFrontend::ShutdownWorkers() {
 
 namespace {
 
-/// The socket substrate of the shared batch driver: one frontend thread
-/// runs every post inline, and each group member's stage scan is an RPC to
-/// the worker owning the block's machine.
+/// One frontend thread's RPC buffers, reused by every stage scan the thread
+/// ships: the encoded request, the reply and the replica walk order.
+struct RpcScratch {
+  std::vector<uint32_t> request;
+  WireMessage reply;
+  std::vector<uint8_t> rorder;
+};
+
+/// The socket substrate of the shared batch driver: stages run on a
+/// ThreadedCluster with one node per worker connection, each posted to the
+/// node of the worker that owns the stage's machine, and each group
+/// member's stage scan is an RPC to the worker owning the block's replica.
 class SocketBackend final : public ChainBatchBackend {
  public:
   explicit SocketBackend(SocketFrontend* net) : net_(net) {}
 
+  void Open(ExecContext* /*ctx*/) override {
+    cluster_ = std::make_unique<ThreadedCluster>(net_->num_workers());
+  }
+  /// Joins the frontend threads; an RPC in flight finishes (or times out)
+  /// first.
+  void Close() override { cluster_.reset(); }
+
   uint64_t ScanStage(const ExecContext& ctx, size_t d, size_t machine,
                      std::vector<StageMember>* members) override;
 
-  void PostStage(size_t /*machine*/, std::function<void()> stage) override {
-    stage();
+  void PostStage(size_t machine, std::function<void()> stage) override {
+    cluster_->Post(net_->WorkerOf(machine), std::move(stage));
   }
-  Status status() const override { return status_; }
+  Status status() const override {
+    std::lock_guard<std::mutex> lock(status_mu_);
+    return status_;
+  }
 
  private:
   /// One member's kOpStageScan with its replica walk.
   StageScanOutcome ScanMember(const ExecContext& ctx, const QueryChain& chain,
                               size_t d, const BlockScanParams& scan,
                               ChainCandidates* cand);
+  /// Latches the batch's first failure.
+  void Fail(Status st);
 
   SocketFrontend* net_;
+  std::unique_ptr<ThreadedCluster> cluster_;
+  /// Set once a failure is latched: later stages drain without RPCs.
+  std::atomic<bool> failed_{false};
+  mutable std::mutex status_mu_;
   Status status_;
-  std::vector<uint32_t> payload_;
-  std::vector<uint8_t> rorder_;
 };
 
-/// Replaces `cand` with the survivors a stage-scan reply carries. A reply of
-/// the wrong opcode or shape is a protocol error.
-Status ApplyStageReply(const WireMessage& reply, bool use_norms,
-                       ChainCandidates* cand) {
-  if (reply.op != kOpStageResult) {
-    return Status::IoError("stage scan answered with opcode " +
-                           std::to_string(reply.op));
-  }
-  HARMONY_ASSIGN_OR_RETURN(StageScanResult res,
-                           DecodeStageScanResult(reply.payload));
-  if (res.has_norms != use_norms || res.id.size() > cand->id.size()) {
-    return Status::IoError("stage scan reply shape mismatch");
-  }
-  cand->id = std::move(res.id);
-  cand->list = std::move(res.list);
-  cand->row = std::move(res.row);
-  cand->partial = std::move(res.partial);
-  if (use_norms) cand->rem_p_sq = std::move(res.rem_p_sq);
-  return Status::OK();
+void SocketBackend::Fail(Status st) {
+  std::lock_guard<std::mutex> lock(status_mu_);
+  if (status_.ok()) status_ = std::move(st);
+  failed_.store(true, std::memory_order_release);
 }
 
 /// Ships every member's scan in turn. Groups never reach this substrate
@@ -244,8 +265,9 @@ uint64_t SocketBackend::ScanStage(const ExecContext& ctx, size_t d,
   return bytes;
 }
 
-/// Walks the block's replicas in health order, ships the scan, and applies
-/// the compacted survivors. All replicas down => the block is lost, exactly
+/// Walks the block's replicas in health order, ships the scan encoded
+/// straight from the chain's candidate columns, and decodes the compacted
+/// survivors back into them. All replicas down => the block is lost, exactly
 /// as a threaded hop past its retry budget.
 StageScanOutcome SocketBackend::ScanMember(const ExecContext& ctx,
                                            const QueryChain& chain, size_t d,
@@ -254,44 +276,47 @@ StageScanOutcome SocketBackend::ScanMember(const ExecContext& ctx,
   StageScanOutcome out;
   out.delivered = false;
   // A failed batch drains its remaining stages as lost blocks, without RPCs.
-  if (!status_.ok()) return out;
+  if (failed_.load(std::memory_order_acquire)) return out;
+  thread_local RpcScratch scratch;
   const PartitionPlan& plan = *ctx.plan;
   NodeHealthTracker* health = ctx.health;
   const size_t shard = static_cast<size_t>(chain.shard);
 
-  StageScanRequest req;
-  req.vec_shard = static_cast<uint32_t>(shard);
-  req.dim_block = static_cast<uint32_t>(d);
-  req.metric = static_cast<uint32_t>(scan.metric);
-  req.prune = scan.prune;
-  req.use_norms = scan.use_norms;
-  req.use_batched = scan.use_batched;
-  req.tau = scan.tau;
-  req.rem_q_sq = scan.rem_q_sq;
-  req.width = static_cast<uint32_t>(scan.width);
-  req.q_slice.assign(scan.q_slice, scan.q_slice + scan.width);
-  req.lists = chain.lists;
-  req.id = cand->id;
-  req.list = cand->list;
-  req.row = cand->row;
-  req.partial = cand->partial;
-  if (scan.use_norms) req.rem_p_sq = cand->rem_p_sq;
+  StageScanHeader head;
+  head.vec_shard = static_cast<uint32_t>(shard);
+  head.dim_block = static_cast<uint32_t>(d);
+  head.metric = static_cast<uint32_t>(scan.metric);
+  head.prune = scan.prune;
+  head.use_norms = scan.use_norms;
+  head.use_batched = scan.use_batched;
+  head.tau = scan.tau;
+  head.rem_q_sq = scan.rem_q_sq;
+  head.width = static_cast<uint32_t>(scan.width);
+  StageColumns cols;
+  cols.count = cand->id.size();
+  cols.id = cand->id.data();
+  cols.list = cand->list.data();
+  cols.row = cand->row.data();
+  cols.partial = cand->partial.data();
+  cols.rem_p_sq = scan.use_norms ? cand->rem_p_sq.data() : nullptr;
 
-  StageReplicaOrder(ctx, chain, d, &rorder_);
-  for (const uint8_t r : rorder_) {
+  StageReplicaOrder(ctx, chain, d, &scratch.rorder);
+  for (const uint8_t r : scratch.rorder) {
     const size_t machine = static_cast<size_t>(plan.ReplicaOf(shard, d, r));
     const size_t w = net_->WorkerOf(machine);
     if (net_->WorkerDead(w)) {
       ++out.failovers;
       continue;
     }
-    req.machine = static_cast<uint32_t>(machine);
-    EncodeStageScanRequest(req, &payload_);
+    head.machine = static_cast<uint32_t>(machine);
+    EncodeStageScanRequest(head, scan.q_slice, chain.lists, cols,
+                           &scratch.request);
     uint32_t attempts = 0;
-    Result<WireMessage> reply =
-        net_->Call(w, kOpStageScan, payload_, &attempts);
-    if (!reply.ok()) {
-      const StatusCode code = reply.status().code();
+    const Status called =
+        net_->Call(w, kOpStageScan, scratch.request.data(),
+                   scratch.request.size(), &scratch.reply, &attempts);
+    if (!called.ok()) {
+      const StatusCode code = called.code();
       // A live worker rejecting the request (decode/validation/state
       // divergence) is a protocol failure, not a dead peer: failing over
       // would mask real divergence. Fail the batch loudly.
@@ -299,11 +324,12 @@ StageScanOutcome SocketBackend::ScanMember(const ExecContext& ctx,
           code == StatusCode::kFailedPrecondition ||
           code == StatusCode::kNotSupported ||
           code == StatusCode::kIoError) {
-        status_ = reply.status();
+        Fail(called);
         return out;
       }
-      // Transport exhaustion: Call marked the worker dead. Every machine
-      // that worker owned is now known-dead for replica ordering.
+      // Transport exhaustion: Call marked the worker dead (here or on
+      // another frontend thread). Every machine that worker owned is now
+      // known-dead for replica ordering.
       health->RecordAttempts(machine, attempts);
       health->RecordFailures(machine, attempts);
       for (size_t m = 0; m < plan.num_machines; ++m) {
@@ -314,8 +340,22 @@ StageScanOutcome SocketBackend::ScanMember(const ExecContext& ctx,
     }
     health->RecordAttempts(machine, attempts);
     if (attempts > 1) health->RecordFailures(machine, attempts - 1);
-    status_ = ApplyStageReply(reply.value(), scan.use_norms, cand);
-    if (!status_.ok()) return out;
+    StageScanResult res;
+    res.has_norms = scan.use_norms;
+    res.survivors = cols;
+    const Status decoded = DecodeStageScanResult(
+        scratch.reply.op, scratch.reply.payload, &res);
+    if (!decoded.ok()) {
+      Fail(decoded);
+      return out;
+    }
+    // The survivors now lead every column; shrinking never reallocates.
+    const size_t n = res.survivors.count;
+    cand->id.resize(n);
+    cand->list.resize(n);
+    cand->row.resize(n);
+    cand->partial.resize(n);
+    if (scan.use_norms) cand->rem_p_sq.resize(n);
     out.delivered = true;
     out.attempts = attempts;
     return out;

@@ -1,8 +1,10 @@
 #ifndef HARMONY_NET_SOCKET_BACKEND_H_
 #define HARMONY_NET_SOCKET_BACKEND_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "core/coordinator.h"
@@ -29,20 +31,30 @@ struct SocketFrontendOptions {
   SocketFaultPlan faults;
 };
 
+/// Frontend transport counters, bumped by every frontend thread that makes
+/// an RPC; read a field as a plain number (a relaxed load).
 struct SocketNetStats {
-  uint64_t rpcs = 0;          ///< Requests that eventually delivered.
-  uint64_t rpc_failures = 0;  ///< Attempts that failed (torn/timeout/reset).
-  uint64_t reconnects = 0;    ///< Successful re-dials (incl. first dials).
-  uint64_t workers_marked_dead = 0;
-  uint64_t workers_rejoined = 0;
+  /// Requests that eventually delivered.
+  std::atomic<uint64_t> rpcs{0};
+  /// Attempts that failed (torn/timeout/reset).
+  std::atomic<uint64_t> rpc_failures{0};
+  /// Successful re-dials (incl. first dials).
+  std::atomic<uint64_t> reconnects{0};
+  std::atomic<uint64_t> workers_marked_dead{0};
+  std::atomic<uint64_t> workers_rejoined{0};
 };
 
-/// \brief The frontend's connection table to its worker processes: one
-/// serial RPC channel per worker, machine -> worker ownership map
-/// (machine % num_workers), retry with seeded backoff, dead-worker marking
-/// and restart rejoin (re-dial + handshake). Single-threaded by design:
-/// ExecuteSocket runs every chain stage inline on the calling thread, one
-/// RPC at a time.
+/// \brief The frontend's connection table to its worker processes: one RPC
+/// channel per worker, machine -> worker ownership map (machine %
+/// num_workers), retry with seeded backoff, dead-worker marking and restart
+/// rejoin (re-dial + handshake).
+///
+/// Thread-safe for Call/Ping: ExecuteSocket runs one frontend thread per
+/// worker connection, and a stage that fails over reaches another thread's
+/// worker. Each peer has a mutex held across a whole RPC — send, receive,
+/// retries and re-dials — so a connection carries one request at a time and
+/// replies pair with requests by order. Connect, ReconnectDead and
+/// ShutdownWorkers run between batches, never beside a Call.
 class SocketFrontend {
  public:
   explicit SocketFrontend(SocketFrontendOptions opts = {});
@@ -56,14 +68,21 @@ class SocketFrontend {
   size_t num_workers() const { return peers_.size(); }
   /// Worker process owning `machine`'s stores.
   size_t WorkerOf(size_t machine) const { return machine % peers_.size(); }
-  bool WorkerDead(size_t w) const { return peers_[w].dead; }
+  bool WorkerDead(size_t w) const {
+    return peers_[w]->dead.load(std::memory_order_acquire);
+  }
   size_t workers_dead() const;
 
-  /// One round-trip RPC to worker `w` with retry/backoff/reconnect.
+  /// One round-trip RPC to worker `w` with retry/backoff/reconnect, sending
+  /// `words` of `payload` and receiving into `*reply`, whose buffer is
+  /// reused (the stage-scan path allocates nothing per call).
   /// `attempts_out` (may be null) receives the delivery attempts used —
   /// max_attempts when the call exhausts its budget and marks the worker
   /// dead (return kUnavailable). A kOpError reply decodes to its Status and
   /// returns it without retrying (the worker is alive; the request lost).
+  Status Call(size_t w, uint16_t op, const uint32_t* payload, size_t words,
+              WireMessage* reply, uint32_t* attempts_out = nullptr);
+  /// The same with an owned reply.
   Result<WireMessage> Call(size_t w, uint16_t op,
                            const std::vector<uint32_t>& payload,
                            uint32_t* attempts_out = nullptr);
@@ -85,18 +104,20 @@ class SocketFrontend {
  private:
   struct Peer {
     SocketAddr addr;
+    /// Serializes the peer's RPCs; guards `ch`.
+    std::mutex mu;
     SocketChannel ch;
-    bool dead = false;
+    std::atomic<bool> dead{false};
     std::unique_ptr<SocketFaultInjector> shim;
   };
 
-  /// Connect + hello/ack handshake for peer `w`; on success the peer's
-  /// channel is replaced.
+  /// Connect + hello/ack handshake for peer `w`, whose mutex the caller
+  /// holds; on success the peer's channel is replaced.
   Status Dial(size_t w);
 
   SocketFrontendOptions opts_;
   WorkerHello expect_;
-  std::vector<Peer> peers_;
+  std::vector<std::unique_ptr<Peer>> peers_;
   SocketNetStats stats_;
 };
 
@@ -105,12 +126,16 @@ class SocketFrontend {
 /// driver (RunChainBatch), with one chain per group baton, and every
 /// dimension-stage scan an RPC to the worker process owning the block's
 /// machine (the ExecBackend::ScanStage override, one kOpStageScan per
-/// member).
+/// member). Stages run on a ThreadedCluster with one frontend thread per
+/// worker connection: a stage is posted to the thread of the worker that
+/// owns its primary machine, so the workers scan a rank's batons at the
+/// same time, and the candidate fill runs on those threads too.
 /// The frontend keeps routing, candidate build, prewarm, pruning
 /// thresholds, health folding, fault ledger and result heaps; workers scan
 /// their (bit-identical) stores and return compacted survivors. On a
 /// fault-free run the merged results are bit-identical to both in-process
-/// engines (monotone pruning makes them interleaving-independent).
+/// engines (monotone pruning makes them interleaving-independent, so the
+/// frontend threads' order does not matter).
 ///
 /// Failure ladder per stage, mirroring the replicated threaded path: retry
 /// with backoff (inside SocketFrontend::Call) -> failover across the

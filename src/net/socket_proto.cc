@@ -108,6 +108,37 @@ Status CheckField(const char* name, uint64_t expected, uint64_t got) {
       std::to_string(expected) + ", peer has " + std::to_string(got));
 }
 
+/// The one request encoder both public forms forward to.
+void EncodeRequestWords(const StageScanHeader& head, const float* q_slice,
+                        size_t q_words, const int32_t* lists,
+                        size_t num_lists, size_t count, const int64_t* id,
+                        const int32_t* list, const int32_t* row,
+                        const float* partial, const float* rem_p_sq,
+                        std::vector<uint32_t>* out) {
+  out->clear();
+  out->reserve(10 + q_words + num_lists +
+               count * (5 + (head.use_norms ? 1 : 0)));
+  PutU32(head.machine, out);
+  PutU32(head.vec_shard, out);
+  PutU32(head.dim_block, out);
+  PutU32(head.metric, out);
+  const uint32_t flags = (head.prune ? 1u : 0u) | (head.use_norms ? 2u : 0u) |
+                         (head.use_batched ? 4u : 0u);
+  PutU32(flags, out);
+  PutF32(head.tau, out);
+  PutF32(head.rem_q_sq, out);
+  PutU32(head.width, out);
+  PutU32(static_cast<uint32_t>(num_lists), out);
+  PutU32(static_cast<uint32_t>(count), out);
+  PutSpan32(q_slice, q_words, out);
+  PutSpan32(lists, num_lists, out);
+  PutSpan64(id, count, out);
+  PutSpan32(list, count, out);
+  PutSpan32(row, count, out);
+  PutSpan32(partial, count, out);
+  if (head.use_norms) PutSpan32(rem_p_sq, count, out);
+}
+
 }  // namespace
 
 void EncodeHello(const WorkerHello& hello, std::vector<uint32_t>* out) {
@@ -161,29 +192,19 @@ Status CheckHelloMatch(const WorkerHello& expected, const WorkerHello& got) {
 
 void EncodeStageScanRequest(const StageScanRequest& req,
                             std::vector<uint32_t>* out) {
-  out->clear();
-  const size_t count = req.id.size();
-  out->reserve(9 + req.q_slice.size() + req.lists.size() +
-               count * (5 + (req.use_norms ? 1 : 0)));
-  PutU32(req.machine, out);
-  PutU32(req.vec_shard, out);
-  PutU32(req.dim_block, out);
-  PutU32(req.metric, out);
-  const uint32_t flags = (req.prune ? 1u : 0u) | (req.use_norms ? 2u : 0u) |
-                         (req.use_batched ? 4u : 0u);
-  PutU32(flags, out);
-  PutF32(req.tau, out);
-  PutF32(req.rem_q_sq, out);
-  PutU32(req.width, out);
-  PutU32(static_cast<uint32_t>(req.lists.size()), out);
-  PutU32(static_cast<uint32_t>(count), out);
-  PutSpan32(req.q_slice.data(), req.q_slice.size(), out);
-  PutSpan32(req.lists.data(), req.lists.size(), out);
-  PutSpan64(req.id.data(), count, out);
-  PutSpan32(req.list.data(), count, out);
-  PutSpan32(req.row.data(), count, out);
-  PutSpan32(req.partial.data(), count, out);
-  if (req.use_norms) PutSpan32(req.rem_p_sq.data(), count, out);
+  EncodeRequestWords(req, req.q_slice.data(), req.q_slice.size(),
+                     req.lists.data(), req.lists.size(), req.id.size(),
+                     req.id.data(), req.list.data(), req.row.data(),
+                     req.partial.data(), req.rem_p_sq.data(), out);
+}
+
+void EncodeStageScanRequest(const StageScanHeader& head, const float* q_slice,
+                            const std::vector<int32_t>& lists,
+                            const StageColumns& cand,
+                            std::vector<uint32_t>* out) {
+  EncodeRequestWords(head, q_slice, head.width, lists.data(), lists.size(),
+                     cand.count, cand.id, cand.list, cand.row, cand.partial,
+                     cand.rem_p_sq, out);
 }
 
 Result<StageScanRequest> DecodeStageScanRequest(
@@ -254,58 +275,72 @@ Result<StageScanRequest> DecodeStageScanRequest(
 void EncodeStageScanResult(const StageScanResult& res,
                            std::vector<uint32_t>* out) {
   out->clear();
-  const size_t count = res.id.size();
-  out->reserve(6 + count * (5 + (res.has_norms ? 1 : 0)));
-  PutU32(static_cast<uint32_t>(count), out);
+  const StageColumns& c = res.survivors;
+  out->reserve(6 + c.count * (5 + (res.has_norms ? 1 : 0)));
+  PutU32(static_cast<uint32_t>(c.count), out);
   PutU32(res.has_norms ? 1u : 0u, out);
   PutU64(res.ops, out);
   PutU64(res.dropped, out);
-  PutSpan64(res.id.data(), count, out);
-  PutSpan32(res.list.data(), count, out);
-  PutSpan32(res.row.data(), count, out);
-  PutSpan32(res.partial.data(), count, out);
-  if (res.has_norms) PutSpan32(res.rem_p_sq.data(), count, out);
+  PutSpan64(c.id, c.count, out);
+  PutSpan32(c.list, c.count, out);
+  PutSpan32(c.row, c.count, out);
+  PutSpan32(c.partial, c.count, out);
+  if (res.has_norms) PutSpan32(c.rem_p_sq, c.count, out);
 }
 
-Result<StageScanResult> DecodeStageScanResult(
-    const std::vector<uint32_t>& payload) {
+Status DecodeStageScanResult(uint16_t op, const std::vector<uint32_t>& payload,
+                             StageScanResult* res) {
+  if (op != kOpStageResult) {
+    return Status::IoError("stage scan answered with opcode " +
+                           std::to_string(op));
+  }
   WordReader r(payload.data(), payload.size());
-  StageScanResult res;
   HARMONY_ASSIGN_OR_RETURN(const uint32_t count, r.U32("result count"));
   HARMONY_ASSIGN_OR_RETURN(const uint32_t norms, r.U32("result norms flag"));
   if (norms > 1) {
     return Status::IoError("scan result: bad norms flag " +
                            std::to_string(norms));
   }
-  res.has_norms = norms == 1;
+  if ((norms == 1) != res->has_norms) {
+    return Status::IoError("scan result: norms flag " + std::to_string(norms) +
+                           " does not match the request");
+  }
   if (count > kMaxScanCandidates) {
     return Status::IoError("scan result: " + std::to_string(count) +
                            " survivors exceeds cap");
   }
-  HARMONY_ASSIGN_OR_RETURN(res.ops, r.U64("result ops"));
-  HARMONY_ASSIGN_OR_RETURN(res.dropped, r.U64("result dropped"));
-  const uint64_t need = uint64_t{count} * (res.has_norms ? 6 : 5);
+  if (count > res->survivors.count) {
+    return Status::IoError("scan result: " + std::to_string(count) +
+                           " survivors of " +
+                           std::to_string(res->survivors.count) +
+                           " candidates");
+  }
+  HARMONY_ASSIGN_OR_RETURN(const uint64_t ops, r.U64("result ops"));
+  HARMONY_ASSIGN_OR_RETURN(const uint64_t dropped, r.U64("result dropped"));
+  const uint64_t need = uint64_t{count} * (res->has_norms ? 6 : 5);
   if (r.remaining() < need) {
     return Status::IoError("truncated scan result: declares " +
                            std::to_string(need) + " words, carries " +
                            std::to_string(r.remaining()));
   }
-  res.id.resize(count);
-  HARMONY_RETURN_NOT_OK(r.Span64(res.id.data(), count, "survivor ids"));
-  res.list.resize(count);
-  HARMONY_RETURN_NOT_OK(r.Span32(res.list.data(), count, "survivor lists"));
-  res.row.resize(count);
-  HARMONY_RETURN_NOT_OK(r.Span32(res.row.data(), count, "survivor rows"));
-  res.partial.resize(count);
-  HARMONY_RETURN_NOT_OK(
-      r.Span32(res.partial.data(), count, "survivor partials"));
-  if (res.has_norms) {
-    res.rem_p_sq.resize(count);
-    HARMONY_RETURN_NOT_OK(
-        r.Span32(res.rem_p_sq.data(), count, "survivor norms"));
+  if (r.remaining() > need) {
+    return Status::IoError("scan result: " +
+                           std::to_string(r.remaining() - need) +
+                           " trailing payload words");
   }
-  HARMONY_RETURN_NOT_OK(r.ExpectEnd("scan result"));
-  return res;
+  // Every check passed: only now are the caller's columns overwritten.
+  StageColumns& c = res->survivors;
+  HARMONY_RETURN_NOT_OK(r.Span64(c.id, count, "survivor ids"));
+  HARMONY_RETURN_NOT_OK(r.Span32(c.list, count, "survivor lists"));
+  HARMONY_RETURN_NOT_OK(r.Span32(c.row, count, "survivor rows"));
+  HARMONY_RETURN_NOT_OK(r.Span32(c.partial, count, "survivor partials"));
+  if (res->has_norms) {
+    HARMONY_RETURN_NOT_OK(r.Span32(c.rem_p_sq, count, "survivor norms"));
+  }
+  c.count = count;
+  res->ops = ops;
+  res->dropped = dropped;
+  return Status::OK();
 }
 
 void EncodeErrorStatus(const Status& status, std::vector<uint32_t>* out) {

@@ -12,9 +12,11 @@ namespace harmony {
 
 /// \brief Opcodes of the frontend <-> worker RPC protocol carried by
 /// SocketChannel messages. Request/response pairing is strict: the frontend
-/// sends one request and reads exactly one reply per call (the channel is
-/// serial), so a worker reply is always kOpStageResult/kOpHelloAck/kOpPong
-/// for the matching request, or kOpError carrying a Status.
+/// sends one request and reads exactly one reply per call, and a connection
+/// carries one call at a time (frontend threads share a worker's connection
+/// under its lock), so a worker reply is always
+/// kOpStageResult/kOpHelloAck/kOpPong for the matching request, or kOpError
+/// carrying a Status.
 enum WireOp : uint16_t {
   kOpHello = 1,       ///< Handshake: WorkerHello of the connecting frontend.
   kOpHelloAck = 2,    ///< Handshake reply: WorkerHello of the worker.
@@ -56,11 +58,10 @@ Result<WorkerHello> DecodeHello(const std::vector<uint32_t>& payload);
 /// hello, the frontend against the ack).
 Status CheckHelloMatch(const WorkerHello& expected, const WorkerHello& got);
 
-/// \brief One dimension-stage scan shipped to a worker: the scalar scan
-/// parameters MakeStageScanParams derived on the frontend plus the chain's
-/// compacted candidate SoA. The worker resolves list slices from its own
-/// (bit-identical) stores, runs ScanBlock, and returns the survivors.
-struct StageScanRequest {
+/// \brief The scalar words of a dimension-stage scan request: the block's
+/// address plus the scan parameters MakeStageScanParams derived on the
+/// frontend.
+struct StageScanHeader {
   uint32_t machine = 0;    ///< Grid machine whose store holds the block.
   uint32_t vec_shard = 0;  ///< Chain's vector shard.
   uint32_t dim_block = 0;  ///< Dimension block (stage) to scan.
@@ -70,8 +71,29 @@ struct StageScanRequest {
   bool use_batched = false;
   float tau = 0.0f;
   float rem_q_sq = 0.0f;
-  uint32_t width = 0;  ///< Block width; q_slice has this many floats.
-  std::vector<float> q_slice;
+  uint32_t width = 0;  ///< Block width; the request carries this many floats.
+};
+
+/// \brief Candidate SoA columns borrowed from their owner, `count` entries
+/// each (rem_p_sq null without norms). The frontend encodes a request
+/// straight from its chain's columns and decodes the survivors back into
+/// them; the worker encodes its reply straight from the columns ScanBlock
+/// compacted. Neither side stages a copy.
+struct StageColumns {
+  size_t count = 0;
+  int64_t* id = nullptr;
+  int32_t* list = nullptr;  ///< Index into the request's list ids.
+  int32_t* row = nullptr;   ///< Row within the list's slice.
+  float* partial = nullptr;
+  float* rem_p_sq = nullptr;
+};
+
+/// \brief One dimension-stage scan shipped to a worker, with owned columns:
+/// the header plus the query's block slice, the chain's probed lists and its
+/// compacted candidate SoA. The worker resolves list slices from its own
+/// (bit-identical) stores, runs ScanBlock, and returns the survivors.
+struct StageScanRequest : StageScanHeader {
+  std::vector<float> q_slice;  ///< `width` floats.
   std::vector<int32_t> lists;  ///< Global IVF list ids probed by the chain.
   // Candidate SoA (all sized `count`; rem_p_sq only when use_norms).
   std::vector<int64_t> id;
@@ -91,26 +113,40 @@ constexpr uint32_t kMaxScanCandidates = 1u << 26;
 
 void EncodeStageScanRequest(const StageScanRequest& req,
                             std::vector<uint32_t>* out);
+/// The borrowed form, word for word the same message: `q_slice` holds
+/// head.width floats and `cand` the candidates (its rem_p_sq is read only
+/// with head.use_norms). `out` is cleared and refilled, so a reused buffer
+/// allocates nothing once it has grown to the largest request.
+void EncodeStageScanRequest(const StageScanHeader& head, const float* q_slice,
+                            const std::vector<int32_t>& lists,
+                            const StageColumns& cand,
+                            std::vector<uint32_t>* out);
 Result<StageScanRequest> DecodeStageScanRequest(
     const std::vector<uint32_t>& payload);
 
-/// \brief A stage scan's compacted survivors (the in-place compaction
-/// ScanBlock performed, shipped back), plus the scan counters for stats.
+/// \brief A stage scan's reply: the scan counters plus the compacted
+/// survivors, in borrowed columns.
 struct StageScanResult {
   uint64_t ops = 0;
   uint64_t dropped = 0;
-  bool has_norms = false;
-  std::vector<int64_t> id;
-  std::vector<int32_t> list;
-  std::vector<int32_t> row;
-  std::vector<float> partial;
-  std::vector<float> rem_p_sq;
+  bool has_norms = false;  ///< Survivor norm columns (rem_p_sq) travel.
+  StageColumns survivors;
 };
 
 void EncodeStageScanResult(const StageScanResult& res,
                            std::vector<uint32_t>* out);
-Result<StageScanResult> DecodeStageScanResult(
-    const std::vector<uint32_t>& payload);
+/// Decodes a reply of opcode `op` in place. On entry `res->survivors` are
+/// the request's candidate columns (a reply never has more survivors than
+/// the request had candidates) and `res->has_norms` says whether norm
+/// columns travel. Every header word and the payload length are checked
+/// before any column is written — opcode, norms flag (0 or 1, and equal to
+/// the expected one), the count cap, count <= survivors.count, and exactly
+/// the declared words, neither short nor trailing — and any failure is
+/// kIoError with `*res` and its columns untouched. On success the first
+/// `count` entries of each column hold the survivors, survivors.count is
+/// `count`, and ops/dropped carry the worker's counters.
+Status DecodeStageScanResult(uint16_t op, const std::vector<uint32_t>& payload,
+                             StageScanResult* res);
 
 /// kOpError payload: the Status code word plus its message bytes, so a
 /// worker-side rejection surfaces on the frontend with its original code

@@ -383,6 +383,12 @@ Status SocketChannel::Send(uint16_t op, const uint32_t* payload, size_t words) {
 }
 
 Result<WireMessage> SocketChannel::Recv() {
+  WireMessage msg;
+  HARMONY_RETURN_NOT_OK(Recv(&msg));
+  return msg;
+}
+
+Status SocketChannel::Recv(WireMessage* out) {
   if (!valid()) return Status::FailedPrecondition("channel is closed");
   // The deadline bounds the wait for the message's first byte. Once a byte
   // has arrived, ReadAll restarts it on every byte instead, so a stream
@@ -390,7 +396,9 @@ Result<WireMessage> SocketChannel::Recv() {
   // whole deadline mid-message is torn (kIoError, never kTimeout).
   int64_t deadline_at = DeadlineAt(deadline_ms_);
   bool started = false;
-  WireMessage msg;
+  WireMessage& msg = *out;
+  msg.op = 0;
+  msg.payload.clear();
   bool first_frame = true;
   while (true) {
     // Per-frame short-read fault: one coin keyed by the receive frame
@@ -472,7 +480,7 @@ Result<WireMessage> SocketChannel::Recv() {
                              std::to_string(op) + " vs " +
                              std::to_string(msg.op));
     }
-    if (flags & kFlagFin) return msg;
+    if (flags & kFlagFin) return Status::OK();
   }
 }
 

@@ -62,9 +62,10 @@ struct WireMessage {
 /// SocketFaultInjector makes failures deterministic (seeded torn writes,
 /// short reads, stalls, resets keyed per frame counter).
 ///
-/// Not thread-safe: one channel belongs to one thread (the frontend's RPC
-/// loop is strictly serial per connection; idempotent scans make
-/// reconnect-and-retransmit safe).
+/// Not thread-safe: one thread uses a channel at a time. Frontend threads
+/// share a worker's channel under that worker's lock, which they hold for a
+/// whole RPC, so a connection carries one request and its reply at a time
+/// (idempotent scans make reconnect-and-retransmit safe).
 class SocketChannel {
  public:
   SocketChannel() = default;
@@ -106,6 +107,10 @@ class SocketChannel {
   /// corruption, or when the peer stalls a whole deadline mid-message;
   /// kTimeout only when no byte of the message arrived within the deadline.
   Result<WireMessage> Recv();
+  /// The same, into `*msg`: its payload buffer is reused, so a receive loop
+  /// that keeps one message allocates nothing once the buffer has grown to
+  /// the largest message. On failure `*msg` holds no usable message.
+  Status Recv(WireMessage* msg);
 
   /// Words of message payload one frame can carry (header length cap minus
   /// the opcode and CRC words).

@@ -20,6 +20,10 @@
 //  8. workers refuse stage scans on a connection without a matching hello;
 //  9. with the pipeline stagger on and groups off, R = 2, the socket results
 //     are the threaded engine's bit for bit.
+// 10. on a 2x2 grid with a query's chains on both shards in one rank (both
+//     frontend threads scanning at once), results are bitwise the threaded
+//     engine's and the sim's over R, metric and label filter, and survive a
+//     worker kill at R = 2 with nothing degraded.
 
 #include "net/socket_backend.h"
 
@@ -503,6 +507,174 @@ TEST(SocketBackendTest, UngroupedStaggerMatchesThreadedBitwise) {
     }
   }
   EXPECT_EQ(net.stats().workers_marked_dead, 0u);
+  net.ShutdownWorkers();
+}
+
+/// The 2x2 grid the concurrency tests run on: two vector shards, two
+/// dimension blocks, so every query that probes both shards has a chain on
+/// each, and the chains' stages land on both workers.
+HarmonyOptions TwoByTwoOptions(size_t replication, Metric metric) {
+  HarmonyOptions opts = BaseOptions(4, replication);
+  opts.ivf.metric = metric;
+  opts.force_b_vec = 2;
+  opts.force_b_dim = 2;
+  return opts;
+}
+
+/// Routes `queries` and moves every chain into probe rank 0. The router
+/// gives each of a query's chains its own rank; in one rank a query's
+/// chains on both shards run at once on different frontend threads,
+/// reading the query's pruning threshold while the other merges into its
+/// heap. Monotone pruning makes the merged top-k independent of that
+/// interleaving, in every backend.
+BatchRouting RouteOneRank(const HarmonyEngine& engine,
+                          const DatasetView& queries, size_t nprobe) {
+  BatchRouting routing =
+      RouteBatch(engine.index(), engine.plan(), queries, nprobe, 1);
+  for (QueryChain& chain : routing.chains) chain.probe_rank = 0;
+  routing.max_probe_rank = 0;
+  return routing;
+}
+
+/// True when some query of `routing` has chains on two shards.
+bool SomeQueryHasTwoChains(const BatchRouting& routing) {
+  std::vector<int> chains(routing.probe_lists.size(), 0);
+  for (const QueryChain& chain : routing.chains) {
+    if (++chains[static_cast<size_t>(chain.query)] > 1) return true;
+  }
+  return false;
+}
+
+// Over R, metric and the label filter, 20 one-rank batches each: with both
+// frontend threads scanning at once and a query's two chains in flight
+// together, the socket results are the threaded engine's and the sim's bit
+// for bit, with nothing degraded.
+TEST(SocketBackendTest, ConcurrentChainsMatchThreadedBitwise) {
+  constexpr size_t kBatches = 20;
+  constexpr size_t kBatchQueries = 8;
+  for (const Metric metric : {Metric::kL2, Metric::kInnerProduct}) {
+    const SmallWorld world = MakeSmallWorld(
+        1200, 16, 8, 8, kBatches * kBatchQueries, 0.0, 11, metric);
+    const Dataset& all = world.workload.queries;
+    std::vector<int32_t> labels(world.index.num_vectors());
+    for (size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = static_cast<int32_t>(i % 2);
+    }
+    for (const size_t replication : {size_t{1}, size_t{2}}) {
+      const HarmonyOptions opts = TwoByTwoOptions(replication, metric);
+      HarmonyEngine frontend(opts);
+      ASSERT_TRUE(frontend.BuildFromIndex(world.index).ok());
+      ASSERT_EQ(frontend.plan().num_vec_shards, 2u);
+      ASSERT_EQ(frontend.plan().num_dim_blocks, 2u);
+      auto snap = frontend.AcquireSnapshot();
+      ASSERT_TRUE(snap.ok()) << snap.status();
+      const std::vector<WorkerStore>& stores = *snap.value().stores;
+
+      ThreadWorkerFleet fleet("conc" + std::to_string(replication) +
+                              (metric == Metric::kL2 ? "l2" : "ip"));
+      ASSERT_TRUE(fleet.Start(world, opts, 2).ok());
+      auto expect = MakeEngineHello(&frontend, 0, 2);
+      ASSERT_TRUE(expect.ok()) << expect.status();
+      SocketFrontend net;
+      ASSERT_TRUE(net.Connect(fleet.addrs(), expect.value()).ok());
+
+      bool two_chains = false;
+      for (const bool filtered : {false, true}) {
+        ExecOptions exec = frontend.BuildExecOptions(10, 4);
+        if (filtered) {
+          exec.labels = &labels;
+          exec.allowed_label = 1;
+        }
+        for (size_t b = 0; b < kBatches; ++b) {
+          SCOPED_TRACE(::testing::Message()
+                       << "metric=" << MetricToString(metric)
+                       << " R=" << replication << " filtered=" << filtered
+                       << " batch=" << b);
+          const DatasetView queries(all.Row(b * kBatchQueries), kBatchQueries,
+                                    all.dim());
+          const BatchRouting routing = RouteOneRank(frontend, queries, 4);
+          two_chains = two_chains || SomeQueryHasTwoChains(routing);
+          auto sock = ExecuteSocket(frontend.index(), frontend.plan(), stores,
+                                    frontend.prewarm_cache(), routing,
+                                    queries, exec, &net);
+          ASSERT_TRUE(sock.ok()) << sock.status();
+          auto thr = ExecuteThreaded(frontend.index(), frontend.plan(),
+                                     stores, frontend.prewarm_cache(),
+                                     routing, queries, exec);
+          ASSERT_TRUE(thr.ok()) << thr.status();
+          SimCluster cluster(frontend.plan().num_machines);
+          auto sim = ExecuteSimulated(frontend.index(), frontend.plan(),
+                                      stores, frontend.prewarm_cache(),
+                                      routing, queries, exec, &cluster);
+          ASSERT_TRUE(sim.ok()) << sim.status();
+          ExpectBitIdentical(sock.value().results, thr.value().results);
+          ExpectBitIdentical(sock.value().results, sim.value().results);
+          EXPECT_EQ(sock.value().faults.degraded_queries, 0u);
+          for (const uint8_t d : sock.value().degraded) EXPECT_EQ(d, 0);
+        }
+      }
+      EXPECT_TRUE(two_chains);
+      EXPECT_EQ(net.stats().workers_marked_dead, 0u);
+      net.ShutdownWorkers();
+    }
+  }
+}
+
+// The same grid at R = 2 with worker 1 killed a few frames in: its stages
+// fail over to worker 0 (from either frontend thread) with nothing
+// degraded and results bitwise those of the threaded engine.
+TEST(SocketBackendTest, ConcurrentChainsSurviveWorkerKillAtR2) {
+  const SmallWorld world = MakeSmallWorld(1500, 16, 8, 8, 24, 0.0, 11);
+  const DatasetView queries = world.workload.queries.View();
+  const HarmonyOptions opts = TwoByTwoOptions(2, Metric::kL2);
+  HarmonyEngine frontend(opts);
+  ASSERT_TRUE(frontend.BuildFromIndex(world.index).ok());
+  const PartitionPlan& plan = frontend.plan();
+  // Every block keeps a replica on worker 0 (machine % 2 == 0).
+  for (size_t s = 0; s < plan.num_vec_shards; ++s) {
+    for (size_t d = 0; d < plan.num_dim_blocks; ++d) {
+      bool on_worker0 = false;
+      for (size_t r = 0; r < plan.replication; ++r) {
+        on_worker0 = on_worker0 || plan.ReplicaOf(s, d, r) % 2 == 0;
+      }
+      ASSERT_TRUE(on_worker0) << "block (" << s << ", " << d << ")";
+    }
+  }
+  auto snap = frontend.AcquireSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  const std::vector<WorkerStore>& stores = *snap.value().stores;
+  const ExecOptions exec = frontend.BuildExecOptions(10, 4);
+  const BatchRouting routing = RouteOneRank(frontend, queries, 4);
+  ASSERT_TRUE(SomeQueryHasTwoChains(routing));
+  auto baseline = ExecuteThreaded(frontend.index(), plan, stores,
+                                  frontend.prewarm_cache(), routing, queries,
+                                  exec);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+
+  ThreadWorkerFleet fleet("conckill");
+  SocketFaultPlan kill;
+  kill.kill_after_frames = 6;
+  ASSERT_TRUE(fleet.Start(world, opts, 2, nullptr, /*kill_worker=*/1, kill)
+                  .ok());
+  auto expect = MakeEngineHello(&frontend, 0, 2);
+  ASSERT_TRUE(expect.ok()) << expect.status();
+  SocketFrontendOptions fopts;
+  fopts.connect_deadline_ms = 500;
+  fopts.rpc_deadline_ms = 2000;
+  fopts.max_attempts = 2;
+  SocketFrontend net(fopts);
+  ASSERT_TRUE(net.Connect(fleet.addrs(), expect.value()).ok());
+
+  auto out = ExecuteSocket(frontend.index(), plan, stores,
+                           frontend.prewarm_cache(), routing, queries, exec,
+                           &net);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(net.stats().workers_marked_dead, 1u);
+  EXPECT_TRUE(net.WorkerDead(1));
+  EXPECT_GT(out.value().faults.failovers, 0u);
+  EXPECT_EQ(out.value().faults.degraded_queries, 0u);
+  for (const uint8_t d : out.value().degraded) EXPECT_EQ(d, 0);
+  ExpectBitIdentical(out.value().results, baseline.value().results);
   net.ShutdownWorkers();
 }
 

@@ -1,6 +1,7 @@
 // The frontend <-> worker RPC codec (net/socket_proto.h): encode/decode
-// round trips of every message body, hostile declared sizes rejected
-// before any column is allocated, and a seeded truncation and bit-flip
+// round trips of every message body (stage results decode in place into
+// the request's columns), hostile declared sizes rejected before any
+// column is allocated or written, and a seeded truncation and bit-flip
 // sweep over real encoded requests and results that must end in a Status,
 // never a crash.
 
@@ -11,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -44,19 +47,54 @@ StageScanRequest MakeRequest(size_t count, bool use_norms) {
   return req;
 }
 
-StageScanResult MakeResult(size_t count, bool has_norms) {
-  StageScanResult res;
+/// Owned survivor columns behind a StageScanResult's borrowed ones.
+struct ResultColumns {
+  std::vector<int64_t> id;
+  std::vector<int32_t> list;
+  std::vector<int32_t> row;
+  std::vector<float> partial;
+  std::vector<float> rem_p_sq;
+
+  /// A result borrowing every column (rem_p_sq only with norms).
+  StageScanResult View(bool has_norms) {
+    StageScanResult res;
+    res.has_norms = has_norms;
+    res.survivors.count = id.size();
+    res.survivors.id = id.data();
+    res.survivors.list = list.data();
+    res.survivors.row = row.data();
+    res.survivors.partial = partial.data();
+    res.survivors.rem_p_sq = has_norms ? rem_p_sq.data() : nullptr;
+    return res;
+  }
+};
+
+/// `count` survivors; `salt` varies the values so a decode target can start
+/// out different from the message it receives.
+ResultColumns MakeColumns(size_t count, bool has_norms, int salt = 0) {
+  ResultColumns c;
+  for (size_t i = 0; i < count; ++i) {
+    c.id.push_back(-static_cast<int64_t>(i) * 65537 + salt);
+    c.list.push_back(static_cast<int32_t>(i % 5) + salt);
+    c.row.push_back(static_cast<int32_t>(i + 11) + salt);
+    c.partial.push_back(static_cast<float>(i) * 1.5f + static_cast<float>(salt));
+    if (has_norms) {
+      c.rem_p_sq.push_back(static_cast<float>(i) * 2.0f +
+                           static_cast<float>(salt));
+    }
+  }
+  return c;
+}
+
+/// A real encoded reply of `count` survivors.
+std::vector<uint32_t> EncodeResult(size_t count, bool has_norms) {
+  ResultColumns c = MakeColumns(count, has_norms);
+  StageScanResult res = c.View(has_norms);
   res.ops = 0x1234567890ULL;
   res.dropped = 42;
-  res.has_norms = has_norms;
-  for (size_t i = 0; i < count; ++i) {
-    res.id.push_back(-static_cast<int64_t>(i) * 65537);
-    res.list.push_back(static_cast<int32_t>(i % 5));
-    res.row.push_back(static_cast<int32_t>(i + 11));
-    res.partial.push_back(static_cast<float>(i) * 1.5f);
-    if (has_norms) res.rem_p_sq.push_back(static_cast<float>(i) * 2.0f);
-  }
-  return res;
+  std::vector<uint32_t> wire;
+  EncodeStageScanResult(res, &wire);
+  return wire;
 }
 
 void ExpectSameRequest(const StageScanRequest& a, const StageScanRequest& b) {
@@ -72,17 +110,6 @@ void ExpectSameRequest(const StageScanRequest& a, const StageScanRequest& b) {
   EXPECT_EQ(a.width, b.width);
   EXPECT_EQ(a.q_slice, b.q_slice);
   EXPECT_EQ(a.lists, b.lists);
-  EXPECT_EQ(a.id, b.id);
-  EXPECT_EQ(a.list, b.list);
-  EXPECT_EQ(a.row, b.row);
-  EXPECT_EQ(a.partial, b.partial);
-  EXPECT_EQ(a.rem_p_sq, b.rem_p_sq);
-}
-
-void ExpectSameResult(const StageScanResult& a, const StageScanResult& b) {
-  EXPECT_EQ(a.ops, b.ops);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.has_norms, b.has_norms);
   EXPECT_EQ(a.id, b.id);
   EXPECT_EQ(a.list, b.list);
   EXPECT_EQ(a.row, b.row);
@@ -110,15 +137,62 @@ TEST(SocketProtoTest, StageScanRequestRoundTrips) {
   }
 }
 
+TEST(SocketProtoTest, StageScanRequestBorrowedFormEncodesSameWords) {
+  for (const bool use_norms : {false, true}) {
+    StageScanRequest req = MakeRequest(37, use_norms);
+    std::vector<uint32_t> owned;
+    EncodeStageScanRequest(req, &owned);
+    StageColumns cand;
+    cand.count = req.id.size();
+    cand.id = req.id.data();
+    cand.list = req.list.data();
+    cand.row = req.row.data();
+    cand.partial = req.partial.data();
+    cand.rem_p_sq = use_norms ? req.rem_p_sq.data() : nullptr;
+    std::vector<uint32_t> borrowed = {7, 7, 7};  // stale words are cleared
+    EncodeStageScanRequest(req, req.q_slice.data(), req.lists, cand,
+                           &borrowed);
+    EXPECT_EQ(borrowed, owned);
+  }
+}
+
+// A reply decodes in place into the request's columns: the survivors lead
+// each column, the count shrinks to theirs, and entries past it keep what
+// they held.
 TEST(SocketProtoTest, StageScanResultRoundTrips) {
   for (const bool has_norms : {false, true}) {
     for (const size_t count : {size_t{0}, size_t{1}, size_t{37}}) {
-      const StageScanResult res = MakeResult(count, has_norms);
+      ResultColumns src = MakeColumns(count, has_norms);
+      StageScanResult sent = src.View(has_norms);
+      sent.ops = 0x1234567890ULL;
+      sent.dropped = 42;
       std::vector<uint32_t> wire;
-      EncodeStageScanResult(res, &wire);
-      auto back = DecodeStageScanResult(wire);
-      ASSERT_TRUE(back.ok()) << back.status();
-      ExpectSameResult(res, back.value());
+      EncodeStageScanResult(sent, &wire);
+      for (const size_t extra : {size_t{0}, size_t{5}}) {
+        ResultColumns dst = MakeColumns(count + extra, has_norms, 99);
+        const ResultColumns before = dst;
+        StageScanResult back = dst.View(has_norms);
+        const Status st = DecodeStageScanResult(kOpStageResult, wire, &back);
+        ASSERT_TRUE(st.ok()) << st;
+        EXPECT_EQ(back.ops, sent.ops);
+        EXPECT_EQ(back.dropped, sent.dropped);
+        ASSERT_EQ(back.survivors.count, count);
+        const auto prefix = [count](const auto& v) {
+          return std::vector<typename std::decay_t<decltype(v)>::value_type>(
+              v.begin(), v.begin() + static_cast<std::ptrdiff_t>(count));
+        };
+        EXPECT_EQ(prefix(dst.id), src.id);
+        EXPECT_EQ(prefix(dst.list), src.list);
+        EXPECT_EQ(prefix(dst.row), src.row);
+        EXPECT_EQ(prefix(dst.partial), src.partial);
+        if (has_norms) {
+          EXPECT_EQ(prefix(dst.rem_p_sq), src.rem_p_sq);
+        }
+        for (size_t i = count; i < count + extra; ++i) {
+          EXPECT_EQ(dst.id[i], before.id[i]);
+          EXPECT_EQ(dst.partial[i], before.partial[i]);
+        }
+      }
     }
   }
 }
@@ -181,12 +255,17 @@ TEST(SocketProtoTest, HostileCountsAreIoErrorWithoutAllocating) {
     ASSERT_FALSE(req.ok());
     EXPECT_EQ(req.status().code(), StatusCode::kIoError) << req.status();
   }
-  // Result: count, norms flag, ops (2 words), dropped (2 words).
+  // Result: count, norms flag, ops (2 words), dropped (2 words), decoded
+  // into columns that hold 37 candidates.
   for (const uint32_t norms : {0u, 1u}) {
-    const std::vector<uint32_t> wire = {kMaxScanCandidates, norms, 0, 0, 0, 0};
-    auto res = DecodeStageScanResult(wire);
-    ASSERT_FALSE(res.ok());
-    EXPECT_EQ(res.status().code(), StatusCode::kIoError) << res.status();
+    for (const uint32_t count : {kMaxScanCandidates, kMaxScanCandidates + 1}) {
+      const std::vector<uint32_t> wire = {count, norms, 0, 0, 0, 0};
+      ResultColumns dst = MakeColumns(37, norms == 1);
+      StageScanResult res = dst.View(norms == 1);
+      const Status st = DecodeStageScanResult(kOpStageResult, wire, &res);
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.code(), StatusCode::kIoError) << st;
+    }
   }
   EXPECT_LT(PeakRssKb() - rss_before, 64 * 1024);
 }
@@ -198,9 +277,8 @@ TEST(SocketProtoTest, TruncationAndBitFlipSweepNeverCrashes) {
   std::vector<std::vector<uint32_t>> requests(2);
   EncodeStageScanRequest(MakeRequest(23, false), &requests[0]);
   EncodeStageScanRequest(MakeRequest(23, true), &requests[1]);
-  std::vector<std::vector<uint32_t>> results(2);
-  EncodeStageScanResult(MakeResult(23, false), &results[0]);
-  EncodeStageScanResult(MakeResult(23, true), &results[1]);
+  const std::vector<std::vector<uint32_t>> results = {EncodeResult(23, false),
+                                                      EncodeResult(23, true)};
 
   for (const std::vector<uint32_t>& wire : requests) {
     for (size_t len = 0; len < wire.size(); ++len) {
@@ -208,18 +286,22 @@ TEST(SocketProtoTest, TruncationAndBitFlipSweepNeverCrashes) {
       EXPECT_FALSE(DecodeStageScanRequest(cut).ok()) << "len=" << len;
     }
   }
-  for (const std::vector<uint32_t>& wire : results) {
+  for (size_t r = 0; r < results.size(); ++r) {
+    const std::vector<uint32_t>& wire = results[r];
     for (size_t len = 0; len < wire.size(); ++len) {
       const std::vector<uint32_t> cut(wire.begin(), wire.begin() + len);
-      EXPECT_FALSE(DecodeStageScanResult(cut).ok()) << "len=" << len;
+      ResultColumns dst = MakeColumns(23, r == 1);
+      StageScanResult res = dst.View(r == 1);
+      EXPECT_FALSE(DecodeStageScanResult(kOpStageResult, cut, &res).ok())
+          << "len=" << len;
     }
   }
 
   Rng rng(0x5CA7);
   for (int iter = 0; iter < 2000; ++iter) {
     const bool is_request = (iter & 1) == 0;
-    std::vector<uint32_t> wire =
-        is_request ? requests[rng.NextBounded(2)] : results[rng.NextBounded(2)];
+    const size_t pick = rng.NextBounded(2);
+    std::vector<uint32_t> wire = is_request ? requests[pick] : results[pick];
     const size_t flips = 1 + rng.NextBounded(3);
     for (size_t f = 0; f < flips; ++f) {
       wire[rng.NextBounded(wire.size())] ^= 1u << rng.NextBounded(32);
@@ -236,13 +318,77 @@ TEST(SocketProtoTest, TruncationAndBitFlipSweepNeverCrashes) {
                   req.value().use_norms ? count : 0u);
       }
     } else {
-      auto res = DecodeStageScanResult(wire);
-      if (res.ok()) {
-        const size_t count = res.value().id.size();
-        EXPECT_EQ(res.value().list.size(), count);
-        EXPECT_EQ(res.value().rem_p_sq.size(),
-                  res.value().has_norms ? count : 0u);
+      ResultColumns dst = MakeColumns(23, pick == 1);
+      StageScanResult res = dst.View(pick == 1);
+      if (DecodeStageScanResult(kOpStageResult, wire, &res).ok()) {
+        EXPECT_LE(res.survivors.count, 23u);
+        EXPECT_EQ(wire.size(),
+                  6 + res.survivors.count * (pick == 1 ? 6u : 5u));
       }
+    }
+  }
+}
+
+// Every hostile reply — wrong opcode, a bad or mismatched norms flag, a
+// count past the cap or past the request's candidates, truncated at any
+// word, or with trailing words — is kIoError and leaves the caller's
+// columns and the result's fields bit for bit as they were.
+TEST(SocketProtoTest, HostileRepliesLeaveColumnsUntouched) {
+  for (const bool has_norms : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "norms=" << has_norms);
+    const std::vector<uint32_t> good = EncodeResult(23, has_norms);
+    // (opcode, payload) pairs.
+    std::vector<std::pair<uint16_t, std::vector<uint32_t>>> hostile;
+    hostile.emplace_back(kOpPong, good);
+    hostile.emplace_back(kOpError, good);
+    for (const uint32_t flag : {2u, has_norms ? 0u : 1u}) {
+      std::vector<uint32_t> w = good;
+      w[1] = flag;
+      hostile.emplace_back(kOpStageResult, w);
+    }
+    for (const uint32_t count : {24u, 1000u, kMaxScanCandidates,
+                                 kMaxScanCandidates + 1, 0xFFFFFFFFu}) {
+      std::vector<uint32_t> w = good;
+      w[0] = count;
+      hostile.emplace_back(kOpStageResult, w);
+    }
+    for (size_t len = 0; len < good.size(); ++len) {
+      hostile.emplace_back(
+          kOpStageResult,
+          std::vector<uint32_t>(good.begin(),
+                                good.begin() + static_cast<std::ptrdiff_t>(len)));
+    }
+    std::vector<uint32_t> trailing = good;
+    trailing.push_back(0);
+    hostile.emplace_back(kOpStageResult, trailing);
+    std::vector<uint32_t> fewer = good;  // declares 22, carries 23
+    fewer[0] = 22;
+    hostile.emplace_back(kOpStageResult, fewer);
+
+    for (size_t h = 0; h < hostile.size(); ++h) {
+      SCOPED_TRACE(::testing::Message() << "hostile reply " << h);
+      ResultColumns dst = MakeColumns(23, has_norms, 7);
+      const ResultColumns before = dst;
+      StageScanResult res = dst.View(has_norms);
+      res.ops = 5;
+      res.dropped = 6;
+      const Status st =
+          DecodeStageScanResult(hostile[h].first, hostile[h].second, &res);
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.code(), StatusCode::kIoError) << st;
+      EXPECT_EQ(res.survivors.count, 23u);
+      EXPECT_EQ(res.ops, 5u);
+      EXPECT_EQ(res.dropped, 6u);
+      const auto same_bits = [](const auto& a, const auto& b) {
+        return a.size() == b.size() &&
+               (a.empty() || std::memcmp(a.data(), b.data(),
+                                         a.size() * sizeof(a.front())) == 0);
+      };
+      EXPECT_TRUE(same_bits(dst.id, before.id));
+      EXPECT_TRUE(same_bits(dst.list, before.list));
+      EXPECT_TRUE(same_bits(dst.row, before.row));
+      EXPECT_TRUE(same_bits(dst.partial, before.partial));
+      EXPECT_TRUE(same_bits(dst.rem_p_sq, before.rem_p_sq));
     }
   }
 }
