@@ -125,13 +125,12 @@ BENCHMARK(BM_BlockScanPerRow)
 void BM_BlockScanBatched(benchmark::State& state) {
   const size_t rows = static_cast<size_t>(state.range(0));
   const size_t width = static_cast<size_t>(state.range(1));
-  const KernelDispatch kd = DefaultDispatch(Metric::kL2);
+  const ScanKernelTable& kt = ScanKernels();
   const auto q = RandomVec(width, 21);
   const auto data = RandomVec(rows * width, 22);
   std::vector<float> accum(rows, 0.0f);
   for (auto _ : state) {
-    kd.table->l2_batch(q.data(), data.data(), rows, width, accum.data(),
-                       kd.shape);
+    kt.l2_batch(q.data(), data.data(), rows, width, accum.data());
     benchmark::DoNotOptimize(accum.data());
   }
   state.SetItemsProcessed(state.iterations() * rows * width);
@@ -232,9 +231,9 @@ float* AlignedRandomVec(size_t n, uint64_t seed, size_t phase,
 }
 
 void WriteKernelCurves(const char* path) {
-  // Best available tier + its fixed tile shapes — exactly the dispatch a
-  // default engine run records in its plan. The batched side runs under
-  // the tier's shape; counts below its row block take the batch kernels'
+  // Best available tier — exactly the table a default engine run records
+  // in its plan. The batched side runs the tier's compile-time row block
+  // and query tile; counts below the row block take the batch kernels'
   // per-row dispatch guard, which is what keeps small batches at per-row
   // cost (no cell below ~1.0x).
   const KernelTuneTable& tune = ResolveKernelTune(KernelTier::kAuto);
@@ -256,10 +255,8 @@ void WriteKernelCurves(const char* path) {
   const size_t width_grid[] = {16, 32, 64, 128, 256};
   bool first = true;
   for (const bool ip : {false, true}) {
-    const Metric metric = ip ? Metric::kInnerProduct : Metric::kL2;
     for (const size_t rows : rows_grid) {
       for (const size_t width : width_grid) {
-        const KernelShape shape = tune.shape(metric);
         std::vector<float> q_store, data_store;
         const float* q = AlignedRandomVec(width, 31, /*phase=*/1, &q_store);
         const float* data =
@@ -275,9 +272,9 @@ void WriteKernelCurves(const char* path) {
             },
             [&] {
               if (ip) {
-                kt.ip_batch(q, data, rows, width, accum.data(), shape);
+                kt.ip_batch(q, data, rows, width, accum.data());
               } else {
-                kt.l2_batch(q, data, rows, width, accum.data(), shape);
+                kt.l2_batch(q, data, rows, width, accum.data());
               }
               benchmark::DoNotOptimize(accum.data());
             },
@@ -302,11 +299,9 @@ void WriteKernelCurves(const char* path) {
   std::fprintf(f, "\n  ],\n  \"group_results\": [");
   first = true;
   for (const bool ip : {false, true}) {
-    const Metric metric = ip ? Metric::kInnerProduct : Metric::kL2;
     for (const size_t nq : {size_t{2}, size_t{4}, size_t{8}}) {
       for (const size_t rows : {size_t{64}, size_t{256}}) {
         for (const size_t width : {size_t{32}, size_t{128}}) {
-          const KernelShape shape = tune.shape(metric);
           std::vector<std::vector<float>> q_stores(nq);
           std::vector<const float*> qs(nq);
           for (size_t i = 0; i < nq; ++i) {
@@ -323,20 +318,18 @@ void WriteKernelCurves(const char* path) {
               [&] {
                 for (size_t i = 0; i < nq; ++i) {
                   if (ip) {
-                    kt.ip_batch(qs[i], data, rows, width, accums[i], shape);
+                    kt.ip_batch(qs[i], data, rows, width, accums[i]);
                   } else {
-                    kt.l2_batch(qs[i], data, rows, width, accums[i], shape);
+                    kt.l2_batch(qs[i], data, rows, width, accums[i]);
                   }
                 }
                 benchmark::DoNotOptimize(accum.data());
               },
               [&] {
                 if (ip) {
-                  kt.ip_group(qs.data(), nq, data, rows, width, accums.data(),
-                              shape);
+                  kt.ip_group(qs.data(), nq, data, rows, width, accums.data());
                 } else {
-                  kt.l2_group(qs.data(), nq, data, rows, width, accums.data(),
-                              shape);
+                  kt.l2_group(qs.data(), nq, data, rows, width, accums.data());
                 }
                 benchmark::DoNotOptimize(accum.data());
               });

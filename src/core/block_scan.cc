@@ -13,14 +13,13 @@ namespace harmony {
 
 namespace {
 
-/// Cross-run streaming prefetch (the shape's distance): touch the head rows of
-/// the *next* candidate run while the current run's kernel streams, so the
-/// walk does not stall on the list-slice boundary. A pure memory hint —
-/// never reads out of bounds (capped by the slice's row count) and never
-/// changes results.
-inline void PrefetchRunHead(const DimSlicedMatrix& slice, size_t r0,
-                            size_t rows_ahead) {
-  const size_t limit = std::min(r0 + rows_ahead, slice.num_rows());
+/// Cross-run streaming prefetch (the kernels' kPrefetchRows distance): touch
+/// the head rows of the *next* candidate run while the current run's kernel
+/// streams, so the walk does not stall on the list-slice boundary. A pure
+/// memory hint — never reads out of bounds (capped by the slice's row
+/// count) and never changes results.
+inline void PrefetchRunHead(const DimSlicedMatrix& slice, size_t r0) {
+  const size_t limit = std::min(r0 + kPrefetchRows, slice.num_rows());
   for (size_t r = r0; r < limit; ++r) {
     __builtin_prefetch(slice.Row(r), 0 /*read*/, 1 /*low locality*/);
   }
@@ -60,7 +59,7 @@ size_t ScanBlockReference(const BlockScanParams& p, size_t begin, size_t count,
                           int64_t* id, int32_t* list, int32_t* row,
                           float* partial, float* rem_p_sq, float* bound,
                           BlockScanCounters* counters) {
-  const ScanKernelTable& kt = *p.dispatch.table;
+  const ScanKernelTable& kt = *p.kernels;
   const bool use_ip = p.metric != Metric::kL2;
   const bool use_pq = p.luts != nullptr;
   size_t w = 0;
@@ -114,7 +113,7 @@ size_t ScanBlockReference(const BlockScanParams& p, size_t begin, size_t count,
 size_t PruneCompact(const BlockScanParams& p, size_t begin, size_t count,
                     int64_t* id, int32_t* list, int32_t* row, float* partial,
                     float* rem_p_sq, float* bound, BlockScanCounters* counters) {
-  const ScanKernelTable& kt = *p.dispatch.table;
+  const ScanKernelTable& kt = *p.kernels;
   const bool use_ip = p.metric != Metric::kL2;
   const bool use_pq = p.luts != nullptr;
   // PQ streams test the conservative bound column with the same mask
@@ -183,7 +182,7 @@ constexpr size_t kAdcChunk = 256;
 void ScanCodeRun(const BlockScanParams& p, bool use_ip, const ListSlice* ls,
                  const float* lut, size_t r0, size_t run, float* partial,
                  float* rem_p_sq, float* bound) {
-  const ScanKernelTable& kt = *p.dispatch.table;
+  const ScanKernelTable& kt = *p.kernels;
   float adc[kAdcChunk];
   size_t done = 0;
   while (done < run) {
@@ -209,8 +208,7 @@ void ScanCodeRun(const BlockScanParams& p, bool use_ip, const ListSlice* ls,
 void ScanRuns(const BlockScanParams& p, size_t begin, size_t survivors,
               const int32_t* list, const int32_t* row, float* partial,
               float* rem_p_sq, float* bound) {
-  const ScanKernelTable& kt = *p.dispatch.table;
-  const KernelShape shape = p.dispatch.shape;
+  const ScanKernelTable& kt = *p.kernels;
   const bool use_ip = p.metric != Metric::kL2;
   const bool use_pq = p.luts != nullptr;
   size_t j = 0;
@@ -226,14 +224,12 @@ void ScanRuns(const BlockScanParams& p, size_t begin, size_t survivors,
     }
     // Cross-run streaming: while this run's kernel prefetches within the
     // run, the boundary into the next run (usually another list's slice)
-    // has no coverage — hint its head rows now, at the shape's distance.
-    if (shape.prefetch > 0 && !use_pq && j + run < survivors) {
+    // has no coverage — hint its head rows now.
+    if (!use_pq && j + run < survivors) {
       const int32_t nli = list[begin + j + run];
       const ListSlice* nls = p.slices[static_cast<size_t>(nli)];
       if (nls != nullptr) {
-        PrefetchRunHead(nls->slice,
-                        static_cast<size_t>(row[begin + j + run]),
-                        shape.prefetch);
+        PrefetchRunHead(nls->slice, static_cast<size_t>(row[begin + j + run]));
       }
     }
     if (use_pq) {
@@ -245,13 +241,13 @@ void ScanRuns(const BlockScanParams& p, size_t begin, size_t survivors,
     } else {
       const float* rows = ls->slice.RowBlock(r0, run);
       if (use_ip) {
-        kt.ip_batch(p.q_slice, rows, run, p.width, partial + begin + j, shape);
+        kt.ip_batch(p.q_slice, rows, run, p.width, partial + begin + j);
         if (p.use_norms) {
           const float* bn = ls->block_norm_sq.data() + r0;
           for (size_t t = 0; t < run; ++t) rem_p_sq[begin + j + t] -= bn[t];
         }
       } else {
-        kt.l2_batch(p.q_slice, rows, run, p.width, partial + begin + j, shape);
+        kt.l2_batch(p.q_slice, rows, run, p.width, partial + begin + j);
       }
     }
     j += run;
@@ -370,8 +366,7 @@ uint64_t ScanBlockGroup(GroupMemberScan* members, size_t num_members) {
   // tiles. A tile is a run of consecutive rows that every member of the
   // subset S wants next; it is cut short where a member outside S would
   // join, so divergent streams re-align at the earliest opportunity.
-  const ScanKernelTable& kt = *p.dispatch.table;
-  const KernelShape shape = p.dispatch.shape;
+  const ScanKernelTable& kt = *p.kernels;
   std::vector<const float*> qs(num_members);
   std::vector<float*> accums(num_members);
   std::vector<ListSeg*> active(num_members);
@@ -429,19 +424,15 @@ uint64_t ScanBlockGroup(GroupMemberScan* members, size_t num_members) {
             lw.ls->slice.RowBlock(static_cast<size_t>(rmin), len);
         // Merge-walk streaming: the tile's kernel prefetches within the
         // tile; hint the rows just past it (the likely next tile of this
-        // list) at the shape's distance so the walk crosses tile boundaries
-        // without a cold stall.
-        if (shape.prefetch > 0) {
-          PrefetchRunHead(lw.ls->slice, static_cast<size_t>(rmin) + len,
-                          shape.prefetch);
-        }
+        // list) so the walk crosses tile boundaries without a cold stall.
+        PrefetchRunHead(lw.ls->slice, static_cast<size_t>(rmin) + len);
         if (ns == 1) {
           const GroupMemberScan& mem = members[active[0]->member];
           float* acc = mem.partial + active[0]->cursor;
           if (use_ip) {
-            kt.ip_batch(mem.params.q_slice, rows, len, p.width, acc, shape);
+            kt.ip_batch(mem.params.q_slice, rows, len, p.width, acc);
           } else {
-            kt.l2_batch(mem.params.q_slice, rows, len, p.width, acc, shape);
+            kt.l2_batch(mem.params.q_slice, rows, len, p.width, acc);
           }
         } else {
           for (size_t s = 0; s < ns; ++s) {
@@ -450,11 +441,9 @@ uint64_t ScanBlockGroup(GroupMemberScan* members, size_t num_members) {
             accums[s] = mem.partial + active[s]->cursor;
           }
           if (use_ip) {
-            kt.ip_group(qs.data(), ns, rows, len, p.width, accums.data(),
-                        shape);
+            kt.ip_group(qs.data(), ns, rows, len, p.width, accums.data());
           } else {
-            kt.l2_group(qs.data(), ns, rows, len, p.width, accums.data(),
-                        shape);
+            kt.l2_group(qs.data(), ns, rows, len, p.width, accums.data());
           }
         }
         if (use_ip && p.use_norms) {

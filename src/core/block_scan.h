@@ -8,7 +8,7 @@
 
 #include "core/worker.h"
 #include "index/distance.h"
-#include "index/kernel_tune.h"
+#include "index/scan_kernel.h"
 
 namespace harmony {
 
@@ -77,11 +77,9 @@ struct BlockScanParams {
   size_t ksub = 0;               ///< Codewords per subspace (LUT row length).
   size_t code_size = 0;          ///< Bytes per code row (M_d).
   float q_band_norm = 0.0f;      ///< IP only: ||q^(d)||.
-  /// Resolved kernel dispatch of the batch (ExecContext::Dispatch): the
-  /// tier table plus the tile shape the kernels run with. Required —
-  /// the scan dereferences the table. Shapes are bit-transparent, so the
-  /// shape moves throughput only.
-  KernelDispatch dispatch;
+  /// Kernel table of the batch's tier (ExecContext::kernels). Required —
+  /// the scan dereferences it.
+  const ScanKernelTable* kernels = nullptr;
 };
 
 struct BlockScanCounters {
@@ -133,7 +131,7 @@ struct GroupMemberScan {
 /// Returns the bytes of row data streamed, each tile counted once — float
 /// row bytes normally, code-stream bytes under PQ streams. Every member
 /// scans the same dimension block, so the stage-wide parameter fields
-/// (metric, norms, width, kernel path and dispatch, code geometry) are read
+/// (metric, norms, width, kernel path and table, code geometry) are read
 /// from the first member.
 uint64_t ScanBlockGroup(GroupMemberScan* members, size_t num_members);
 

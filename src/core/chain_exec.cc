@@ -332,9 +332,9 @@ BlockScanParams MakeStageScanParams(const ExecContext& ctx,
   scan.width = range.width();
   scan.slices = cand.slices.data() + d * chain.lists.size();
   scan.use_batched = ctx.opts->use_batched_kernels;
-  // Plan-recorded kernel dispatch: the tier table + tile shape the
-  // context resolved once for the whole batch.
-  scan.dispatch = ctx.Dispatch();
+  // Plan-recorded kernel table: the tier the context resolved once for the
+  // whole batch.
+  scan.kernels = ctx.kernels;
   if (ctx.use_pq) {
     const ProductQuantizer& q = ctx.opts->pq->block(d);
     // Built here, on the thread running the stage, and freed with `scan`.
@@ -362,7 +362,7 @@ size_t RerankChainIndices(const ExecContext& ctx, const QueryChain& chain,
                           const ChainCandidates& cand, uint64_t scanned_mask,
                           const size_t* pick, size_t n_pick, bool skip_by_tau,
                           float tau, size_t dist_base, float* dist_out) {
-  const ScanKernelTable& kt = ScanKernelsFor(ctx.kernel_tune->tier);
+  const ScanKernelTable& kt = *ctx.kernels;
   const bool use_ip = ctx.use_ip;
   const float* qrow = ctx.queries.Row(static_cast<size_t>(chain.query));
   const size_t num_lists = chain.lists.size();

@@ -86,11 +86,11 @@ struct ExecTuning {
   /// by quantized partial sum (cheaper, approximate).
   size_t rerank_depth = 0;
   /// Kernel dispatch tier (docs/kernels.md, "dispatch tiers and tile
-  /// shapes"). kAuto resolves to the widest tier the CPU supports at
-  /// context-build time; an explicit tier pins it (and MakeExecContext
-  /// rejects a tier the CPU lacks). Every tier above the portable cutover
-  /// widths is bitwise-identical per (query, row) within its family, so
-  /// this knob moves throughput, never results.
+  /// shapes"); each tier's tile shape is compiled into its kernels. kAuto
+  /// resolves to the widest tier the CPU supports at context-build time;
+  /// an explicit tier pins it (and MakeExecContext rejects a tier the CPU
+  /// lacks). AVX2 and AVX-512 are bitwise-identical per (query, row); the
+  /// portable tier is its own family above width 16.
   KernelTier kernel_tier = KernelTier::kAuto;
 };
 

@@ -82,9 +82,9 @@ Result<ExecContext> MakeExecContext(const IvfIndex& index,
   ctx.store_generation = opts.store_generation;
   ctx.replication = plan.replication;
   ctx.routed = ctx.replication > 1;  // AttachFaults widens this when faulty.
-  // Record the batch's kernel dispatch once, so simulated and threaded
-  // runs of one batch replay the identical kernels.
-  ctx.kernel_tune = &ResolveKernelTune(opts.kernel_tier);
+  // Record the batch's kernel table once, so simulated and threaded runs
+  // of one batch replay the identical kernels.
+  ctx.kernels = &ScanKernelsFor(opts.kernel_tier);
   if (opts.use_pq_streams) {
     ctx.use_pq = true;
     // The ADC tables are built by the stages that scan them
@@ -140,10 +140,16 @@ void StageReplicaOrder(const ExecContext& ctx, const QueryChain& chain,
     if (ctx.health != nullptr && ctx.health->Quarantined(machine)) return 1;
     return 0;
   };
-  std::stable_sort(order->begin(), order->end(),
-                   [&](uint8_t a, uint8_t b) {
-                     return health_class(a) < health_class(b);
-                   });
+  // Stable insertion sort by health class: R is tiny, and unlike
+  // std::stable_sort it needs no temporary buffer.
+  std::vector<uint8_t>& o = *order;
+  for (size_t i = 1; i < reps; ++i) {
+    const uint8_t r = o[i];
+    const int cls = health_class(r);
+    size_t j = i;
+    for (; j > 0 && health_class(o[j - 1]) > cls; --j) o[j] = o[j - 1];
+    o[j] = r;
+  }
 }
 
 size_t StagePrimaryReplica(const ExecContext& ctx, const QueryChain& chain,

@@ -135,19 +135,12 @@ struct ExecContext {
   /// readers treat a missing tracker as "every node healthy".
   NodeHealthTracker* health = nullptr;
 
-  /// Resolved kernel table of this batch (never null after
-  /// MakeExecContext): the dispatch tier plus the per-metric tile shapes
-  /// every scan stage of both engines runs with. Recording it here, rather
-  /// than letting each stage consult process state, is what makes
-  /// simulated and threaded replays of one batch execute the identical
-  /// kernels.
-  const KernelTuneTable* kernel_tune = nullptr;
-
-  /// The stage dispatch under this batch's recorded table (metric comes
-  /// from the options).
-  KernelDispatch Dispatch() const {
-    return kernel_tune->DispatchFor(opts->metric);
-  }
+  /// Kernel table of this batch's resolved tier (never null after
+  /// MakeExecContext): every scan and rerank stage of both engines runs
+  /// it. Recording it here, rather than letting each stage consult process
+  /// state, is what makes simulated and threaded replays of one batch
+  /// execute the identical kernels.
+  const ScanKernelTable* kernels = nullptr;
 
   void AttachFaults(const FaultInjector* injector) {
     faults = injector;

@@ -22,6 +22,12 @@ struct Closer {
 }  // namespace
 
 Status HnswIndex::Add(const DatasetView& vectors) {
+  // m = 1 makes the level multiplier 1/log(1) infinite, and a zero beam
+  // leaves the construction search no slot for its entry point.
+  if (params_.m < 2) return Status::InvalidArgument("HNSW m must be >= 2");
+  if (params_.ef_construction == 0) {
+    return Status::InvalidArgument("HNSW ef_construction must be > 0");
+  }
   if (vectors.empty()) return Status::OK();
   if (!data_.empty() && vectors.dim() != data_.dim()) {
     return Status::InvalidArgument("dimension mismatch on Add");

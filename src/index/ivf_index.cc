@@ -7,7 +7,7 @@
 #include <memory>
 #include <numeric>
 
-#include "index/kernel_tune.h"
+#include "index/scan_kernel.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -174,9 +174,8 @@ std::vector<int32_t> IvfIndex::ProbeLists(const float* query,
   // selected prefix) instead of ordering the whole scored set. Ties break
   // by list id, matching the historical (distance, id) partial sort.
   std::vector<float> scores(nlist(), 0.0f);
-  const KernelDispatch kd = DefaultDispatch(Metric::kL2);
-  kd.table->l2_batch(query, centroids_.Row(0), nlist(), dim(), scores.data(),
-                     kd.shape);
+  ScanKernels().l2_batch(query, centroids_.Row(0), nlist(), dim(),
+                         scores.data());
   std::vector<int32_t> out(nlist());
   std::iota(out.begin(), out.end(), 0);
   const auto nearer = [&scores](int32_t a, int32_t b) {
@@ -202,7 +201,7 @@ Result<std::vector<Neighbor>> IvfIndex::Search(const float* query, size_t k,
     return Status::InvalidArgument("k and nprobe must be > 0");
   }
   TopKHeap heap(k);
-  const KernelDispatch kd = DefaultDispatch(metric());
+  const ScanKernelTable& kt = ScanKernels();
   const bool use_l2 = metric() == Metric::kL2;
   std::vector<float> scores;
   for (const int32_t list : ProbeLists(query, nprobe)) {
@@ -214,11 +213,9 @@ Result<std::vector<Neighbor>> IvfIndex::Search(const float* query, size_t k,
     const DatasetView vecs = ListVectors(static_cast<size_t>(list));
     scores.assign(ids.size(), 0.0f);
     if (use_l2) {
-      kd.table->l2_batch(query, vecs.Row(0), ids.size(), dim(), scores.data(),
-                         kd.shape);
+      kt.l2_batch(query, vecs.Row(0), ids.size(), dim(), scores.data());
     } else {
-      kd.table->ip_batch(query, vecs.Row(0), ids.size(), dim(), scores.data(),
-                         kd.shape);
+      kt.ip_batch(query, vecs.Row(0), ids.size(), dim(), scores.data());
     }
     for (size_t i = 0; i < ids.size(); ++i) {
       heap.Push(ids[i], use_l2 ? scores[i] : -scores[i]);

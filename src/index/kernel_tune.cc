@@ -6,32 +6,26 @@ namespace harmony {
 
 namespace {
 
-// Every tier prefetches 2 rows ahead and tiles groups by 4 queries. AVX2
-// blocks L2 by 4 rows and IP by 6: IP has no subtract temporary, so 6 rows
-// x 2 accumulators plus the two query registers still fit the 16 ymm
-// registers, and the wider group amortizes each query load over 6 FMAs
-// instead of 4 (the kernel is load-port-bound, so fewer loads per row is
-// the win). AVX-512 blocks both by 8 rows: one zmm accumulator per row
-// makes that free. The portable tier has no register blocking, so its row
-// block is nominal.
-constexpr KernelTuneTable kPortableTune{KernelTier::kPortable, {4, 4, 2},
-                                        {4, 4, 2}};
-constexpr KernelTuneTable kAvx2Tune{KernelTier::kAvx2, {4, 4, 2}, {6, 4, 2}};
-constexpr KernelTuneTable kAvx512Tune{KernelTier::kAvx512, {8, 4, 2},
-                                      {8, 4, 2}};
-
-std::string ShapeString(const KernelShape& s) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%u.%u.%u", s.row_block, s.query_tile,
-                s.prefetch);
-  return buf;
-}
+constexpr KernelTuneTable kPortableTune{KernelTier::kPortable};
+constexpr KernelTuneTable kAvx2Tune{KernelTier::kAvx2};
+constexpr KernelTuneTable kAvx512Tune{KernelTier::kAvx512};
 
 }  // namespace
 
 std::string KernelTuneTable::ToString() const {
-  return std::string(KernelTierName(tier)) + " l2=" + ShapeString(l2) +
-         " ip=" + ShapeString(ip);
+  // The portable tier has no register blocking; it prints a nominal 4.
+  size_t l2 = 4, ip = 4;
+  if (tier == KernelTier::kAvx2) {
+    l2 = avx2::kL2RowBlock;
+    ip = avx2::kIpRowBlock;
+  } else if (tier == KernelTier::kAvx512) {
+    l2 = ip = avx512::kRowBlock;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%s l2=%zu.%zu.%zu ip=%zu.%zu.%zu",
+                KernelTierName(tier), l2, kMaxQueryGroup, kPrefetchRows, ip,
+                kMaxQueryGroup, kPrefetchRows);
+  return buf;
 }
 
 const KernelTuneTable& ResolveKernelTune(KernelTier requested) {
@@ -43,11 +37,6 @@ const KernelTuneTable& ResolveKernelTune(KernelTier requested) {
     default:
       return kPortableTune;
   }
-}
-
-KernelDispatch DefaultDispatch(Metric m) {
-  static const KernelTuneTable& t = ResolveKernelTune(KernelTier::kAuto);
-  return t.DispatchFor(m);
 }
 
 }  // namespace harmony

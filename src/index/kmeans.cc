@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "index/distance.h"
-#include "index/kernel_tune.h"
+#include "index/scan_kernel.h"
 #include "util/rng.h"
 #include "util/threadpool.h"
 
@@ -75,9 +75,8 @@ Dataset SeedCentroids(const DatasetView& data, const KMeansParams& params,
       const size_t lo = r * n / ranges;
       const size_t hi = (r + 1) * n / ranges;
       std::fill(dist_sq.begin() + lo, dist_sq.begin() + hi, 0.0f);
-      const KernelDispatch kd = DefaultDispatch(Metric::kL2);
-      kd.table->l2_batch(prev, data.Row(lo), hi - lo, dim,
-                         dist_sq.data() + lo, kd.shape);
+      ScanKernels().l2_batch(prev, data.Row(lo), hi - lo, dim,
+                             dist_sq.data() + lo);
     });
     double total = 0.0;
     for (size_t i = 0; i < n; ++i) {
@@ -109,11 +108,11 @@ namespace {
 /// Batched scoring of `vec` against every (contiguous) centroid row into
 /// `scores`, then the argmin in centroid order — bitwise the same distances
 /// and the same tie-breaking as the historical per-centroid loop.
-int32_t ArgminCentroid(const KernelDispatch& kd, const DatasetView& centroids,
-                       const float* vec, std::vector<float>* scores) {
+int32_t ArgminCentroid(const DatasetView& centroids, const float* vec,
+                       std::vector<float>* scores) {
   scores->assign(centroids.size(), 0.0f);
-  kd.table->l2_batch(vec, centroids.Row(0), centroids.size(), centroids.dim(),
-                     scores->data(), kd.shape);
+  ScanKernels().l2_batch(vec, centroids.Row(0), centroids.size(),
+                         centroids.dim(), scores->data());
   int32_t best = 0;
   float best_dist = std::numeric_limits<float>::max();
   for (size_t c = 0; c < centroids.size(); ++c) {
@@ -144,13 +143,12 @@ void AssignPoints(const DatasetView& data, const DatasetView& cent,
     const size_t lo = r * n / ranges;
     const size_t hi = (r + 1) * n / ranges;
     std::vector<float> cent_dist(k);
-    const KernelDispatch kd = DefaultDispatch(Metric::kL2);
     double* rsums = sums != nullptr ? part_sums.data() + r * k * dim : nullptr;
     int64_t* rsizes = part_sizes.data() + r * k;
     double inertia = 0.0;
     for (size_t i = lo; i < hi; ++i) {
       const float* row = data.Row(i);
-      const int32_t best = ArgminCentroid(kd, cent, row, &cent_dist);
+      const int32_t best = ArgminCentroid(cent, row, &cent_dist);
       assignments[i] = best;
       ++rsizes[best];
       inertia += cent_dist[static_cast<size_t>(best)];
@@ -181,7 +179,7 @@ void AssignPoints(const DatasetView& data, const DatasetView& cent,
 
 int32_t NearestCentroid(const DatasetView& centroids, const float* vec) {
   thread_local std::vector<float> scores;
-  return ArgminCentroid(DefaultDispatch(Metric::kL2), centroids, vec, &scores);
+  return ArgminCentroid(centroids, vec, &scores);
 }
 
 Result<KMeansResult> TrainKMeans(const DatasetView& data,

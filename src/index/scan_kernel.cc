@@ -49,8 +49,8 @@ float IpRow(const float* a, const float* b, size_t width) {
 
 namespace {
 
-/// Rows `prefetch` iterations ahead of the current one are pulled toward L1
-/// while the current group computes; one line per 16 floats.
+/// Rows kPrefetchRows iterations ahead of the current one are pulled toward
+/// L1 while the current row computes; one line per 16 floats.
 inline void PrefetchRow(const float* row, size_t width) {
   for (size_t i = 0; i < width; i += 16) {
     __builtin_prefetch(row + i, /*rw=*/0, /*locality=*/3);
@@ -60,40 +60,39 @@ inline void PrefetchRow(const float* row, size_t width) {
 }  // namespace
 
 // The portable tier has no register blocking — the row loop IS the per-row
-// path — so its batch and group kernels honor only the shape's prefetch
-// distance and query-tile width. Results are L2Row/IpRow per (query, row)
-// for any shape, like every other tier.
+// path — so its batch and group kernels only prefetch ahead and tile the
+// query axis. Results are L2Row/IpRow per (query, row), like every other
+// tier.
 
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape) {
-  const size_t pf = shape.prefetch;
+             float* accum) {
   for (size_t r = 0; r < count; ++r) {
-    if (pf != 0 && r + pf < count) PrefetchRow(rows + (r + pf) * width, width);
+    if (r + kPrefetchRows < count) {
+      PrefetchRow(rows + (r + kPrefetchRows) * width, width);
+    }
     accum[r] += L2Row(q, rows + r * width, width);
   }
 }
 
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape) {
-  const size_t pf = shape.prefetch;
+             float* accum) {
   for (size_t r = 0; r < count; ++r) {
-    if (pf != 0 && r + pf < count) PrefetchRow(rows + (r + pf) * width, width);
+    if (r + kPrefetchRows < count) {
+      PrefetchRow(rows + (r + kPrefetchRows) * width, width);
+    }
     accum[r] += IpRow(q, rows + r * width, width);
   }
 }
 
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape) {
+             size_t count, size_t width, float* const* accums) {
   // Row-outer, query-inner: each row is loaded from memory once per query
   // tile and scored against every query in the tile.
-  const size_t qt = std::clamp<size_t>(shape.query_tile, 1, kMaxQueryTile);
-  const size_t pf = shape.prefetch;
-  for (size_t q0 = 0; q0 < nq; q0 += qt) {
-    const size_t qn = std::min(qt, nq - q0);
+  for (size_t q0 = 0; q0 < nq; q0 += kMaxQueryGroup) {
+    const size_t qn = std::min(kMaxQueryGroup, nq - q0);
     for (size_t r = 0; r < count; ++r) {
-      if (pf != 0 && r + pf < count) {
-        PrefetchRow(rows + (r + pf) * width, width);
+      if (r + kPrefetchRows < count) {
+        PrefetchRow(rows + (r + kPrefetchRows) * width, width);
       }
       const float* row = rows + r * width;
       for (size_t g = 0; g < qn; ++g) {
@@ -104,15 +103,12 @@ void L2Group(const float* const* qs, size_t nq, const float* rows,
 }
 
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape) {
-  const size_t qt = std::clamp<size_t>(shape.query_tile, 1, kMaxQueryTile);
-  const size_t pf = shape.prefetch;
-  for (size_t q0 = 0; q0 < nq; q0 += qt) {
-    const size_t qn = std::min(qt, nq - q0);
+             size_t count, size_t width, float* const* accums) {
+  for (size_t q0 = 0; q0 < nq; q0 += kMaxQueryGroup) {
+    const size_t qn = std::min(kMaxQueryGroup, nq - q0);
     for (size_t r = 0; r < count; ++r) {
-      if (pf != 0 && r + pf < count) {
-        PrefetchRow(rows + (r + pf) * width, width);
+      if (r + kPrefetchRows < count) {
+        PrefetchRow(rows + (r + kPrefetchRows) * width, width);
       }
       const float* row = rows + r * width;
       for (size_t g = 0; g < qn; ++g) {

@@ -27,8 +27,8 @@ bool ParseKernelTier(std::string_view name, KernelTier* out);
 bool KernelTierAvailable(KernelTier tier);
 
 /// HARMONY_KERNEL_TIER, parsed once: the process-wide pin CI legs use to
-/// run a whole test binary on one tier — the kernel table and the engine's
-/// tile shapes alike. kAuto when unset, unparsable or unavailable.
+/// run a whole test binary on one tier — ScanKernels() and the engine's
+/// recorded table alike. kAuto when unset, unparsable or unavailable.
 KernelTier PinnedKernelTier();
 
 /// Maps a requested tier to the one dispatch will actually use: kAuto picks
@@ -37,24 +37,6 @@ KernelTier PinnedKernelTier();
 /// on a pinned tier); an explicitly requested but unavailable tier falls
 /// back to the widest available one.
 KernelTier ResolveKernelTier(KernelTier requested);
-
-/// \brief Tile shape of the batch/group kernels.
-///
-/// Every shape computes bit-identical results: the per-(query,row)
-/// accumulation order is frozen by the tier, and the shape only decides how
-/// many independent rows'/queries' accumulation chains are carried
-/// concurrently and how far ahead rows are software-prefetched. Each tier's
-/// fixed shape per metric lives in index/kernel_tune.cc.
-struct KernelShape {
-  uint8_t row_block = 4;   ///< Rows per register tile (4, 6 or 8).
-  uint8_t query_tile = 4;  ///< Queries per group tile (2, 4 or 8).
-  uint8_t prefetch = 2;    ///< Upcoming rows to prefetch (0, 2, 4 or 8).
-
-  bool operator==(const KernelShape& o) const {
-    return row_block == o.row_block && query_tile == o.query_tile &&
-           prefetch == o.prefetch;
-  }
-};
 
 /// \brief Batched block-scan kernels (docs/kernels.md).
 ///
@@ -70,45 +52,42 @@ struct KernelShape {
 ///  * **Layout contract.** A batched call covers `count` rows stored
 ///    back-to-back with stride `width` — exactly the row layout of a
 ///    `DimSlicedMatrix` (see `DimSlicedMatrix::RowBlock`). Kernels
-///    register-block a row group at a time (KernelShape::row_block: 4, 6 or
-///    8 rows), reusing each query load across the row group, and
-///    software-prefetch upcoming rows.
+///    register-block a row group at a time (a compile-time row block per
+///    tier and metric, below), reusing each query load across the row
+///    group, and software-prefetch kPrefetchRows upcoming rows.
 ///  * **Bitwise identity.** For every row, the accumulation order (chunking,
 ///    accumulator splitting, horizontal reduction, scalar tail) is exactly
 ///    that of the single-row kernel of the same tier, so batched, grouped
-///    and per-row scans of any shape produce bit-identical partial sums.
-///    This is what keeps determinism tests, fault-replay byte-identity, and
-///    the simulator's `DistanceOpCost` accounting unchanged, whatever shape
-///    a tier runs.
+///    and per-row scans produce bit-identical partial sums. This is what
+///    keeps determinism tests, fault-replay byte-identity, and the
+///    simulator's `DistanceOpCost` accounting unchanged, whatever row block
+///    or query tile a tier runs.
 struct ScanKernelTable {
   /// Single-row partials; same results as PartialL2Sq / PartialIp.
   float (*l2_row)(const float* a, const float* b, size_t width);
   float (*ip_row)(const float* a, const float* b, size_t width);
 
   /// Batched partials over `count` contiguous rows (stride == width):
-  /// `accum[i] += partial(q, rows + i * width)` for i in [0, count). The
-  /// row-block width and prefetch distance come from `shape`; counts below
-  /// the row block dispatch to the per-row path — the small-batch guard
-  /// that keeps tiny runs at per-row cost.
+  /// `accum[i] += partial(q, rows + i * width)` for i in [0, count). Counts
+  /// below the tier's row block dispatch to the per-row path — the
+  /// small-batch guard that keeps tiny runs at per-row cost.
   void (*l2_batch)(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape);
+                   size_t width, float* accum);
   void (*ip_batch)(const float* q, const float* rows, size_t count,
-                   size_t width, float* accum, KernelShape shape);
+                   size_t width, float* accum);
 
   /// Query-group batched partials (shared scans): for each query g in
   /// [0, nq), `accums[g][i] += partial(qs[g], rows + i * width)` over the
   /// same `count` contiguous rows. The row block is streamed once per
-  /// query tile (`shape.query_tile` queries) instead of once per query;
+  /// query tile (kMaxQueryGroup queries) instead of once per query;
   /// per (query, row) the accumulation order is exactly that of
   /// `l2_batch`/`ip_batch`, so a group call is bit-identical to nq
   /// independent batch calls. `nq` may exceed the tile width — kernels tile
   /// the query axis internally.
   void (*l2_group)(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape);
+                   size_t count, size_t width, float* const* accums);
   void (*ip_group)(const float* const* qs, size_t nq, const float* rows,
-                   size_t count, size_t width, float* const* accums,
-                   KernelShape shape);
+                   size_t count, size_t width, float* const* accums);
 
   /// Vectorized prune bounds over up to 64 candidates: bit i of the result
   /// is set iff candidate i can be pruned, with decisions identical to the
@@ -150,15 +129,13 @@ namespace portable {
 float L2Row(const float* a, const float* b, size_t width);
 float IpRow(const float* a, const float* b, size_t width);
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape);
+             float* accum);
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape);
+             float* accum);
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape);
+             size_t count, size_t width, float* const* accums);
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape);
+             size_t count, size_t width, float* const* accums);
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau);
 uint64_t PruneMaskIp(const float* partial, const float* rem_p_sq,
                      size_t count, float rem_q_sq, float tau);
@@ -191,15 +168,13 @@ namespace avx2 {
 float L2Row(const float* a, const float* b, size_t width);
 float IpRow(const float* a, const float* b, size_t width);
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape);
+             float* accum);
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape);
+             float* accum);
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape);
+             size_t count, size_t width, float* const* accums);
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape);
+             size_t count, size_t width, float* const* accums);
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau);
 uint64_t PruneMaskIp(const float* partial, const float* rem_p_sq,
                      size_t count, float rem_q_sq, float tau);
@@ -219,15 +194,13 @@ namespace avx512 {
 float L2Row(const float* a, const float* b, size_t width);
 float IpRow(const float* a, const float* b, size_t width);
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape);
+             float* accum);
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape);
+             float* accum);
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape);
+             size_t count, size_t width, float* const* accums);
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape);
+             size_t count, size_t width, float* const* accums);
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau);
 uint64_t PruneMaskIp(const float* partial, const float* rem_p_sq,
                      size_t count, float rem_q_sq, float tau);
@@ -238,15 +211,32 @@ void AdcBatch(const float* lut, size_t ksub, const uint8_t* codes,
 /// Maximum candidates covered by one prune-mask call.
 inline constexpr size_t kPruneMaskWidth = 64;
 
-/// Default query-group cap of the serving frontend (ServePolicy::max_group)
-/// and of the probes that size one serving group. It matches the AVX2 group
-/// tile: two partial accumulators per query (16-wide chunking), so 4
-/// queries consume 8 of the 16 ymm registers and leave room for the shared
-/// row chunks and the difference temporary. The group kernels themselves
-/// tile by KernelShape::query_tile, up to kMaxQueryTile — AVX-512's 32 zmm
-/// registers (one accumulator per query) make an 8-query tile viable.
+/// Query tile of every tier's group kernels, and the default query-group
+/// cap of the serving frontend (ServePolicy::max_group) and of the probes
+/// that size one serving group. It matches the AVX2 group tile: two partial
+/// accumulators per query (16-wide chunking), so 4 queries consume 8 of the
+/// 16 ymm registers and leave room for the shared row chunks and the
+/// difference temporary. Larger groups are tiled 4 queries at a time.
 inline constexpr size_t kMaxQueryGroup = 4;
-inline constexpr size_t kMaxQueryTile = 8;
+
+/// Rows every tier's batch and group kernels prefetch ahead of the rows
+/// they are scoring, and the run-head rows the block scan hints across run
+/// boundaries.
+inline constexpr size_t kPrefetchRows = 2;
+
+/// Row blocks of the batch kernels. AVX2 blocks L2 by 4 rows and IP by 6:
+/// IP has no subtract temporary, so 6 rows x 2 accumulators plus the two
+/// query registers still fit the 16 ymm registers, and the wider block
+/// amortizes each query load over 6 FMAs instead of 4 (the kernel is
+/// load-port-bound). AVX-512 blocks both by 8 rows: one zmm accumulator per
+/// row makes that free. The portable tier has no register blocking.
+namespace avx2 {
+inline constexpr size_t kL2RowBlock = 4;
+inline constexpr size_t kIpRowBlock = 6;
+}  // namespace avx2
+namespace avx512 {
+inline constexpr size_t kRowBlock = 8;
+}  // namespace avx512
 
 }  // namespace harmony
 

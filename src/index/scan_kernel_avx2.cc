@@ -9,9 +9,9 @@
 // pinned on this TU so the tail's rounding is not compiler-discretionary) —
 // and widths below 16 fall back to the portable bodies, preserving the
 // historical runtime-dispatch cutover bit-for-bit. The register blocking
-// (4/6/8 rows, picked by the KernelShape) only reuses each *query* load
-// across the row group; it never reorders a row's own accumulation, so
-// every shape produces identical bits.
+// (kL2RowBlock / kIpRowBlock rows, scan_kernel.h) only reuses each *query*
+// load across the row group; it never reorders a row's own accumulation, so
+// the blocked and per-row paths produce identical bits.
 
 #include "index/scan_kernel.h"
 
@@ -145,18 +145,18 @@ inline void ReduceBlock(const __m256* a0, const __m256* a1, float* t) {
 }
 
 /// Register-blocked batch body: RB rows' frozen accumulation chains carried
-/// concurrently, `pf` rows of the next group prefetched ahead. Per row the
-/// sequence is exactly the single-row AVX2 kernel; RB and pf never change a
-/// bit of the result.
+/// concurrently, kPrefetchRows rows of the next group prefetched ahead. Per
+/// row the sequence is exactly the single-row AVX2 kernel; RB never changes
+/// a bit of the result.
 template <size_t RB, bool kIp>
 void BatchImpl(const float* q, const float* rows, size_t count, size_t width,
-               float* accum, size_t pf) {
+               float* accum) {
   size_t r = 0;
   for (; r + RB <= count; r += RB) {
     const float* rp[RB];
     for (size_t g = 0; g < RB; ++g) rp[g] = rows + (r + g) * width;
-    if (pf != 0 && r + RB + pf <= count) {
-      for (size_t g = 0; g < pf; ++g) {
+    if (r + RB + kPrefetchRows <= count) {
+      for (size_t g = 0; g < kPrefetchRows; ++g) {
         PrefetchRow(rows + (r + RB + g) * width, width);
       }
     }
@@ -213,30 +213,21 @@ void BatchImpl(const float* q, const float* rows, size_t count, size_t width,
 }
 
 template <bool kIp>
-void BatchByShape(const float* q, const float* rows, size_t count,
-                  size_t width, float* accum, KernelShape shape) {
+void Batch(const float* q, const float* rows, size_t count, size_t width,
+           float* accum) {
+  constexpr size_t kRowBlock = kIp ? kIpRowBlock : kL2RowBlock;
   // Small-batch guard: below the row block there is nothing to register-
   // block — dispatch straight to the tier's canonical per-row kernel, the
   // exact exported function the per-row path runs, so tiny runs pay
   // per-row cost, never blocked-kernel setup.
-  if (count < shape.row_block) {
+  if (count < kRowBlock) {
     for (size_t r = 0; r < count; ++r) {
       accum[r] += kIp ? IpRow(q, rows + r * width, width)
                       : L2Row(q, rows + r * width, width);
     }
     return;
   }
-  switch (shape.row_block) {
-    case 6:
-      BatchImpl<6, kIp>(q, rows, count, width, accum, shape.prefetch);
-      break;
-    case 8:
-      BatchImpl<8, kIp>(q, rows, count, width, accum, shape.prefetch);
-      break;
-    default:
-      BatchImpl<4, kIp>(q, rows, count, width, accum, shape.prefetch);
-      break;
-  }
+  BatchImpl<kRowBlock, kIp>(q, rows, count, width, accum);
 }
 
 }  // namespace
@@ -252,38 +243,38 @@ float IpRow(const float* a, const float* b, size_t width) {
 }
 
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape) {
+             float* accum) {
   if (width < kPortableRowWidthCutover) {
-    portable::L2Batch(q, rows, count, width, accum, shape);
+    portable::L2Batch(q, rows, count, width, accum);
     return;
   }
-  BatchByShape<false>(q, rows, count, width, accum, shape);
+  Batch<false>(q, rows, count, width, accum);
 }
 
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape) {
+             float* accum) {
   if (width < kPortableRowWidthCutover) {
-    portable::IpBatch(q, rows, count, width, accum, shape);
+    portable::IpBatch(q, rows, count, width, accum);
     return;
   }
-  BatchByShape<true>(q, rows, count, width, accum, shape);
+  Batch<true>(q, rows, count, width, accum);
 }
 
 namespace {
 
 /// Query-tiled scan over one row at a time: the row chunks v0/v1 are loaded
 /// once and scored against NQ queries (two accumulators each — NQ <= 4
-/// keeps 2*NQ + 2 + 1 ymm registers live; wider tiles spill, and exist so
-/// every KernelShape is valid on every tier). Per (query, row)
-/// the chunking, accumulator split, reduction, and scalar tail are exactly
-/// the single-row scheme, so the tile is bit-identical to NQ independent
-/// batch calls.
+/// keeps 2*NQ + 2 + 1 ymm registers live). Per (query, row) the chunking,
+/// accumulator split, reduction, and scalar tail are exactly the single-row
+/// scheme, so the tile is bit-identical to NQ independent batch calls.
 template <size_t NQ, bool kIp>
 void GroupTile(const float* const* qs, const float* rows, size_t count,
-               size_t width, float* const* accums, size_t pf) {
-  static_assert(NQ >= 2 && NQ <= kMaxQueryTile);
+               size_t width, float* const* accums) {
+  static_assert(NQ >= 2 && NQ <= kMaxQueryGroup);
   for (size_t r = 0; r < count; ++r) {
-    if (pf != 0 && r + pf < count) PrefetchRow(rows + (r + pf) * width, width);
+    if (r + kPrefetchRows < count) {
+      PrefetchRow(rows + (r + kPrefetchRows) * width, width);
+    }
     const float* row = rows + r * width;
     __m256 a0[NQ], a1[NQ];
     for (size_t g = 0; g < NQ; ++g) {
@@ -334,76 +325,54 @@ void GroupTile(const float* const* qs, const float* rows, size_t count,
   }
 }
 
-/// Runtime tile-width dispatch: n == 1 degenerates to a batch call (same
-/// bits), 2..8 pick the matching GroupTile instantiation.
+/// Tile-width dispatch: n == 1 degenerates to a batch call (same bits),
+/// 2..4 pick the matching GroupTile instantiation.
 template <bool kIp>
 void GroupTileRun(const float* const* qs, size_t n, const float* rows,
-                  size_t count, size_t width, float* const* accums,
-                  KernelShape shape) {
-  const size_t pf = shape.prefetch;
+                  size_t count, size_t width, float* const* accums) {
   switch (n) {
     case 1:
-      BatchByShape<kIp>(qs[0], rows, count, width, accums[0], shape);
+      Batch<kIp>(qs[0], rows, count, width, accums[0]);
       break;
     case 2:
-      GroupTile<2, kIp>(qs, rows, count, width, accums, pf);
+      GroupTile<2, kIp>(qs, rows, count, width, accums);
       break;
     case 3:
-      GroupTile<3, kIp>(qs, rows, count, width, accums, pf);
-      break;
-    case 4:
-      GroupTile<4, kIp>(qs, rows, count, width, accums, pf);
-      break;
-    case 5:
-      GroupTile<5, kIp>(qs, rows, count, width, accums, pf);
-      break;
-    case 6:
-      GroupTile<6, kIp>(qs, rows, count, width, accums, pf);
-      break;
-    case 7:
-      GroupTile<7, kIp>(qs, rows, count, width, accums, pf);
+      GroupTile<3, kIp>(qs, rows, count, width, accums);
       break;
     default:
-      GroupTile<8, kIp>(qs, rows, count, width, accums, pf);
+      GroupTile<4, kIp>(qs, rows, count, width, accums);
       break;
   }
 }
 
 template <bool kIp>
-void GroupByShape(const float* const* qs, size_t nq, const float* rows,
-                  size_t count, size_t width, float* const* accums,
-                  KernelShape shape) {
-  const size_t qt =
-      std::clamp<size_t>(shape.query_tile, 2, kMaxQueryTile);
-  size_t g = 0;
-  for (; g + qt <= nq; g += qt) {
-    GroupTileRun<kIp>(qs + g, qt, rows, count, width, accums + g, shape);
-  }
-  if (g < nq) {
-    GroupTileRun<kIp>(qs + g, nq - g, rows, count, width, accums + g, shape);
+void Group(const float* const* qs, size_t nq, const float* rows, size_t count,
+           size_t width, float* const* accums) {
+  for (size_t g = 0; g < nq; g += kMaxQueryGroup) {
+    GroupTileRun<kIp>(qs + g, std::min(kMaxQueryGroup, nq - g), rows, count,
+                      width, accums + g);
   }
 }
 
 }  // namespace
 
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape) {
+             size_t count, size_t width, float* const* accums) {
   if (width < kPortableRowWidthCutover) {
-    portable::L2Group(qs, nq, rows, count, width, accums, shape);
+    portable::L2Group(qs, nq, rows, count, width, accums);
     return;
   }
-  GroupByShape<false>(qs, nq, rows, count, width, accums, shape);
+  Group<false>(qs, nq, rows, count, width, accums);
 }
 
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape) {
+             size_t count, size_t width, float* const* accums) {
   if (width < kPortableRowWidthCutover) {
-    portable::IpGroup(qs, nq, rows, count, width, accums, shape);
+    portable::IpGroup(qs, nq, rows, count, width, accums);
     return;
   }
-  GroupByShape<true>(qs, nq, rows, count, width, accums, shape);
+  Group<true>(qs, nq, rows, count, width, accums);
 }
 
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau) {

@@ -13,9 +13,9 @@
 // finishes with the same scalar tail. Widths below 16 fall back to the
 // portable bodies, preserving the historical dispatch cutover. The payoff:
 // half the FMA instructions per row and 32 zmm registers — room for 8-row
-// batch blocks and 8-query group tiles (one accumulator per row/query
-// instead of two) — without changing a single result bit, so `avx2` and
-// `avx512` dispatch are interchangeable under every pinned golden.
+// batch blocks (one accumulator per row instead of two) — without changing
+// a single result bit, so `avx2` and `avx512` dispatch are interchangeable
+// under every pinned golden.
 
 #include "index/scan_kernel.h"
 
@@ -138,18 +138,18 @@ float RowImpl(const float* a, const float* b, size_t dim) {
 }
 
 /// Register-blocked batch body: one zmm accumulator per row (the AVX2
-/// pair packed into halves), so even RB = 8 leaves most of the 32 zmm
-/// registers free. Per row the sequence is frozen; RB and pf are
+/// pair packed into halves), so RB = kRowBlock = 8 leaves most of the 32
+/// zmm registers free. Per row the sequence is frozen; RB is
 /// bit-transparent.
 template <size_t RB, bool kIp>
 void BatchImpl(const float* q, const float* rows, size_t count, size_t width,
-               float* accum, size_t pf) {
+               float* accum) {
   size_t r = 0;
   for (; r + RB <= count; r += RB) {
     const float* rp[RB];
     for (size_t g = 0; g < RB; ++g) rp[g] = rows + (r + g) * width;
-    if (pf != 0 && r + RB + pf <= count) {
-      for (size_t g = 0; g < pf; ++g) {
+    if (r + RB + kPrefetchRows <= count) {
+      for (size_t g = 0; g < kPrefetchRows; ++g) {
         PrefetchRow(rows + (r + RB + g) * width, width);
       }
     }
@@ -204,9 +204,9 @@ void BatchImpl(const float* q, const float* rows, size_t count, size_t width,
 }
 
 template <bool kIp>
-void BatchByShape(const float* q, const float* rows, size_t count,
-                  size_t width, float* accum, KernelShape shape) {
-  if (count < shape.row_block) {
+void Batch(const float* q, const float* rows, size_t count, size_t width,
+           float* accum) {
+  if (count < kRowBlock) {
     // Small-batch guard: straight to the tier's canonical per-row kernel —
     // the exact exported function the per-row path runs.
     for (size_t r = 0; r < count; ++r) {
@@ -215,27 +215,19 @@ void BatchByShape(const float* q, const float* rows, size_t count,
     }
     return;
   }
-  switch (shape.row_block) {
-    case 6:
-      BatchImpl<6, kIp>(q, rows, count, width, accum, shape.prefetch);
-      break;
-    case 8:
-      BatchImpl<8, kIp>(q, rows, count, width, accum, shape.prefetch);
-      break;
-    default:
-      BatchImpl<4, kIp>(q, rows, count, width, accum, shape.prefetch);
-      break;
-  }
+  BatchImpl<kRowBlock, kIp>(q, rows, count, width, accum);
 }
 
 /// Query-tiled scan: one zmm accumulator per query, the row chunk loaded
-/// once per 16 floats and scored against up to kMaxQueryTile queries.
+/// once per 16 floats and scored against up to kMaxQueryGroup queries.
 template <size_t NQ, bool kIp>
 void GroupTile(const float* const* qs, const float* rows, size_t count,
-               size_t width, float* const* accums, size_t pf) {
-  static_assert(NQ >= 2 && NQ <= kMaxQueryTile);
+               size_t width, float* const* accums) {
+  static_assert(NQ >= 2 && NQ <= kMaxQueryGroup);
   for (size_t r = 0; r < count; ++r) {
-    if (pf != 0 && r + pf < count) PrefetchRow(rows + (r + pf) * width, width);
+    if (r + kPrefetchRows < count) {
+      PrefetchRow(rows + (r + kPrefetchRows) * width, width);
+    }
     const float* row = rows + r * width;
     __m512 a[NQ];
     for (size_t g = 0; g < NQ; ++g) a[g] = _mm512_setzero_ps();
@@ -286,49 +278,29 @@ void GroupTile(const float* const* qs, const float* rows, size_t count,
 
 template <bool kIp>
 void GroupTileRun(const float* const* qs, size_t n, const float* rows,
-                  size_t count, size_t width, float* const* accums,
-                  KernelShape shape) {
-  const size_t pf = shape.prefetch;
+                  size_t count, size_t width, float* const* accums) {
   switch (n) {
     case 1:
-      BatchByShape<kIp>(qs[0], rows, count, width, accums[0], shape);
+      Batch<kIp>(qs[0], rows, count, width, accums[0]);
       break;
     case 2:
-      GroupTile<2, kIp>(qs, rows, count, width, accums, pf);
+      GroupTile<2, kIp>(qs, rows, count, width, accums);
       break;
     case 3:
-      GroupTile<3, kIp>(qs, rows, count, width, accums, pf);
-      break;
-    case 4:
-      GroupTile<4, kIp>(qs, rows, count, width, accums, pf);
-      break;
-    case 5:
-      GroupTile<5, kIp>(qs, rows, count, width, accums, pf);
-      break;
-    case 6:
-      GroupTile<6, kIp>(qs, rows, count, width, accums, pf);
-      break;
-    case 7:
-      GroupTile<7, kIp>(qs, rows, count, width, accums, pf);
+      GroupTile<3, kIp>(qs, rows, count, width, accums);
       break;
     default:
-      GroupTile<8, kIp>(qs, rows, count, width, accums, pf);
+      GroupTile<4, kIp>(qs, rows, count, width, accums);
       break;
   }
 }
 
 template <bool kIp>
-void GroupByShape(const float* const* qs, size_t nq, const float* rows,
-                  size_t count, size_t width, float* const* accums,
-                  KernelShape shape) {
-  const size_t qt =
-      std::clamp<size_t>(shape.query_tile, 2, kMaxQueryTile);
-  size_t g = 0;
-  for (; g + qt <= nq; g += qt) {
-    GroupTileRun<kIp>(qs + g, qt, rows, count, width, accums + g, shape);
-  }
-  if (g < nq) {
-    GroupTileRun<kIp>(qs + g, nq - g, rows, count, width, accums + g, shape);
+void Group(const float* const* qs, size_t nq, const float* rows, size_t count,
+           size_t width, float* const* accums) {
+  for (size_t g = 0; g < nq; g += kMaxQueryGroup) {
+    GroupTileRun<kIp>(qs + g, std::min(kMaxQueryGroup, nq - g), rows, count,
+                      width, accums + g);
   }
 }
 
@@ -345,41 +317,39 @@ float IpRow(const float* a, const float* b, size_t width) {
 }
 
 void L2Batch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape) {
+             float* accum) {
   if (width < kPortableRowWidthCutover) {
-    portable::L2Batch(q, rows, count, width, accum, shape);
+    portable::L2Batch(q, rows, count, width, accum);
     return;
   }
-  BatchByShape<false>(q, rows, count, width, accum, shape);
+  Batch<false>(q, rows, count, width, accum);
 }
 
 void IpBatch(const float* q, const float* rows, size_t count, size_t width,
-             float* accum, KernelShape shape) {
+             float* accum) {
   if (width < kPortableRowWidthCutover) {
-    portable::IpBatch(q, rows, count, width, accum, shape);
+    portable::IpBatch(q, rows, count, width, accum);
     return;
   }
-  BatchByShape<true>(q, rows, count, width, accum, shape);
+  Batch<true>(q, rows, count, width, accum);
 }
 
 void L2Group(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape) {
+             size_t count, size_t width, float* const* accums) {
   if (width < kPortableRowWidthCutover) {
-    portable::L2Group(qs, nq, rows, count, width, accums, shape);
+    portable::L2Group(qs, nq, rows, count, width, accums);
     return;
   }
-  GroupByShape<false>(qs, nq, rows, count, width, accums, shape);
+  Group<false>(qs, nq, rows, count, width, accums);
 }
 
 void IpGroup(const float* const* qs, size_t nq, const float* rows,
-             size_t count, size_t width, float* const* accums,
-             KernelShape shape) {
+             size_t count, size_t width, float* const* accums) {
   if (width < kPortableRowWidthCutover) {
-    portable::IpGroup(qs, nq, rows, count, width, accums, shape);
+    portable::IpGroup(qs, nq, rows, count, width, accums);
     return;
   }
-  GroupByShape<true>(qs, nq, rows, count, width, accums, shape);
+  Group<true>(qs, nq, rows, count, width, accums);
 }
 
 uint64_t PruneMaskL2(const float* partial, size_t count, float tau) {

@@ -7,7 +7,7 @@
 
 #include "core/block_scan.h"
 #include "core/partition.h"
-#include "index/kernel_tune.h"
+#include "index/scan_kernel.h"
 
 namespace harmony {
 namespace {
@@ -195,10 +195,10 @@ Status SocketWorker::HandleStageScan(const std::vector<uint32_t>& payload,
   scan.slices = slices.data();
   scan.use_batched = req.use_batched;
   // The worker's kAuto table, exactly as an unpinned in-process batch
-  // dispatches. Tiers and shapes are bit-transparent, so the reply is
-  // bit-identical to the frontend's own scan whichever tier either process
-  // runs.
-  scan.dispatch = DefaultDispatch(scan.metric);
+  // dispatches. The AVX2 and AVX-512 tiers are bit-identical, so the reply
+  // is bit-identical to the frontend's own scan whichever of them either
+  // process runs.
+  scan.kernels = &ScanKernels();
   BlockScanCounters counters;
   const size_t w = ScanBlock(scan, 0, count, req.id.data(), req.list.data(),
                              req.row.data(), req.partial.data(),

@@ -381,8 +381,9 @@ TEST(ExecParityTest, CandidateArraysMatchNaiveSliceWalk) {
 // Kernel dispatch tiers and the plan-recorded kernel table
 // (docs/kernels.md): for every tier this machine can run, pinning the tier
 // keeps the two engines bit-identical. AVX2 and AVX-512 are one bitwise
-// family, so their results must also match each other. (Each tier's shape
-// is bit-transparent: ScanKernelTest.ShapedBatchBitIdenticalForAllShapes.)
+// family, so their results must also match each other. (Each tier's row
+// block is bit-transparent: ScanKernelTest.L2BatchMatchesRowKernelBitwise
+// and IpBatchMatchesRowKernelBitwise check every available tier.)
 TEST(ExecParityTest, KernelTierAndTunePinSweep) {
   const SmallWorld world = MakeSmallWorld(2500, 32, 8, 8, 25);
   const size_t machines = 4;
@@ -643,7 +644,7 @@ TEST(ExecParityTest, RerankSelectionMatchesFullSort) {
                                 world.workload.queries.View(), opts);
     ASSERT_TRUE(made.ok()) << made.status();
     const ExecContext& ctx = made.value();
-    const ScanKernelTable& kt = ScanKernelsFor(ctx.kernel_tune->tier);
+    const ScanKernelTable& kt = *ctx.kernels;
     const uint64_t scanned = (uint64_t{1} << ctx.b_dim) - 1;
 
     // The chain with the most candidates.

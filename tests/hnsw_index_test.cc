@@ -30,6 +30,19 @@ TEST(HnswIndexTest, EmptyAndValidation) {
   ASSERT_TRUE(index.Add(d2.View()).ok());
   EXPECT_FALSE(index.Add(d3.View()).ok());
   EXPECT_FALSE(index.Search(q, 0, 10).ok());
+
+  // Parameters that would break the build (an infinite level multiplier,
+  // an empty construction beam) are rejected before any vector is added.
+  HnswParams one_link;
+  one_link.m = 1;
+  HnswIndex bad_m(one_link);
+  EXPECT_EQ(bad_m.Add(d2.View()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_m.size(), 0u);
+  HnswParams no_beam;
+  no_beam.ef_construction = 0;
+  HnswIndex bad_ef(no_beam);
+  EXPECT_EQ(bad_ef.Add(d2.View()).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad_ef.size(), 0u);
 }
 
 TEST(HnswIndexTest, SingleVector) {

@@ -15,7 +15,6 @@
 #include "core/block_scan.h"
 #include "core/pruning.h"
 #include "index/distance.h"
-#include "index/kernel_tune.h"
 #include "storage/dataset.h"
 #include "storage/dim_slice.h"
 #include "util/rng.h"
@@ -38,10 +37,17 @@ std::vector<float> RandomVec(size_t n, uint64_t seed) {
   return v;
 }
 
-// The fixed shape of `tier` for one metric: what the engines dispatch.
-KernelShape DefaultShape(KernelTier tier, bool ip) {
-  return ResolveKernelTune(tier).shape(ip ? Metric::kInnerProduct
-                                          : Metric::kL2);
+// Every tier this build and host can run: the batch and group identities
+// below are checked on each tier's own table, not only on the one
+// ScanKernels() resolved to, so every tier's row block and query tile is
+// exercised wherever the host supports it.
+std::vector<KernelTier> AvailableTiers() {
+  std::vector<KernelTier> tiers;
+  for (const KernelTier t :
+       {KernelTier::kPortable, KernelTier::kAvx2, KernelTier::kAvx512}) {
+    if (KernelTierAvailable(t)) tiers.push_back(t);
+  }
+  return tiers;
 }
 
 // Width sweep covering every scalar-tail length, both sides of the AVX2
@@ -97,14 +103,15 @@ TEST(ScanKernelTest, RowKernelsMatchPortableBelowSimdCutover) {
   }
 }
 
-// Batched kernels must accumulate, per row, exactly what the single-row
-// kernel returns: accum[i] += row_kernel(q, row_i). Counts sweep the 4-row
-// register-blocking remainder cases; the accumulator is seeded with random
-// nonzero values to verify += (not =) semantics.
-void CheckBatchMatchesRows(bool ip) {
-  const ScanKernelTable& kt = ScanKernels();
-  const std::vector<size_t> counts = {1, 2, 3, 4, 5, 6, 7, 8,
-                                      9, 12, 16, 17, 33, 64};
+// Batched kernels must accumulate, per row, exactly what the same tier's
+// single-row kernel returns: accum[i] += row_kernel(q, row_i). Counts sweep
+// the remainder cases of every tier's row block (4, 6 and 8 rows) and of
+// its prefetch distance; the accumulator is seeded with random nonzero
+// values to verify += (not =) semantics.
+void CheckBatchMatchesRows(KernelTier tier, bool ip) {
+  const ScanKernelTable& kt = ScanKernelsFor(tier);
+  const std::vector<size_t> counts = {1,  2,  3,  4,  5,  6,  7,  8,  9,
+                                      10, 11, 12, 13, 15, 16, 17, 33, 64};
   for (const size_t w : Widths()) {
     if (w > 256 && w != 1024) continue;  // Bound runtime; tails covered.
     const auto q = RandomVec(w, 3 * w + (ip ? 7 : 0));
@@ -116,24 +123,28 @@ void CheckBatchMatchesRows(bool ip) {
         const float* r = rows.data() + i * w;
         expect[i] += ip ? kt.ip_row(q.data(), r, w) : kt.l2_row(q.data(), r, w);
       }
-      const KernelShape shape = DefaultShape(KernelTier::kAuto, ip);
       if (ip) {
-        kt.ip_batch(q.data(), rows.data(), n, w, accum.data(), shape);
+        kt.ip_batch(q.data(), rows.data(), n, w, accum.data());
       } else {
-        kt.l2_batch(q.data(), rows.data(), n, w, accum.data(), shape);
+        kt.l2_batch(q.data(), rows.data(), n, w, accum.data());
       }
       ASSERT_EQ(std::memcmp(accum.data(), expect.data(), n * sizeof(float)), 0)
-          << (ip ? "ip" : "l2") << " width " << w << " count " << n;
+          << kt.name << (ip ? " ip" : " l2") << " width " << w << " count "
+          << n;
     }
   }
 }
 
 TEST(ScanKernelTest, L2BatchMatchesRowKernelBitwise) {
-  CheckBatchMatchesRows(/*ip=*/false);
+  for (const KernelTier tier : AvailableTiers()) {
+    CheckBatchMatchesRows(tier, /*ip=*/false);
+  }
 }
 
 TEST(ScanKernelTest, IpBatchMatchesRowKernelBitwise) {
-  CheckBatchMatchesRows(/*ip=*/true);
+  for (const KernelTier tier : AvailableTiers()) {
+    CheckBatchMatchesRows(tier, /*ip=*/true);
+  }
 }
 
 TEST(ScanKernelTest, PortableBatchMatchesPortableRows) {
@@ -146,8 +157,7 @@ TEST(ScanKernelTest, PortableBatchMatchesPortableRows) {
     for (size_t i = 0; i < 9; ++i) {
       expect[i] = portable::L2Row(q.data(), rows.data() + i * w, w);
     }
-    portable::L2Batch(q.data(), rows.data(), 9, w, accum.data(),
-                      DefaultShape(KernelTier::kPortable, false));
+    portable::L2Batch(q.data(), rows.data(), 9, w, accum.data());
     EXPECT_EQ(std::memcmp(accum.data(), expect.data(), 9 * sizeof(float)), 0);
   }
 }
@@ -166,8 +176,7 @@ TEST(ScanKernelTest, BatchHandlesUnalignedPointers) {
     for (size_t i = 0; i < n; ++i) {
       expect[i] = kt.l2_row(q, rows + i * w, w);
     }
-    kt.l2_batch(q, rows, n, w, accum.data(),
-                DefaultShape(KernelTier::kAuto, false));
+    kt.l2_batch(q, rows, n, w, accum.data());
     EXPECT_EQ(std::memcmp(accum.data(), expect.data(), n * sizeof(float)), 0)
         << "width " << w;
   }
@@ -216,22 +225,17 @@ TEST(ScanKernelTest, PruneMasksMatchScalarCanPrune) {
 }
 
 // Group kernels (shared scans): one call over nq queries must equal nq
-// independent batch calls bit-for-bit, for every query count around the
-// default query-tile boundary and for widths on both sides of the AVX2
-// cutover. This is the identity that lets the engines toggle
+// independent batch calls of the same tier bit-for-bit, for query counts
+// across two query tiles plus a remainder and for widths on both sides of
+// the AVX2 cutover. This is the identity that lets the engines toggle
 // ExecOptions::shared_scans without perturbing a single result bit.
-void CheckGroupMatchesBatches(bool ip, bool use_portable) {
-  const ScanKernelTable& kt = ScanKernels();
-  const KernelTier tier = use_portable ? KernelTier::kPortable
-                                       : KernelTier::kAuto;
-  auto batch = use_portable ? (ip ? portable::IpBatch : portable::L2Batch)
-                            : (ip ? kt.ip_batch : kt.l2_batch);
-  auto group = use_portable ? (ip ? portable::IpGroup : portable::L2Group)
-                            : (ip ? kt.ip_group : kt.l2_group);
+void CheckGroupMatchesBatches(KernelTier tier, bool ip) {
+  const ScanKernelTable& kt = ScanKernelsFor(tier);
+  auto batch = ip ? kt.ip_batch : kt.l2_batch;
+  auto group = ip ? kt.ip_group : kt.l2_group;
   const size_t counts[] = {1, 3, 4, 5, 17};
   for (const size_t w : Widths()) {
-    const KernelShape shape = DefaultShape(tier, ip);
-    for (size_t nq = 1; nq <= shape.query_tile + size_t{2}; ++nq) {
+    for (size_t nq = 1; nq <= 2 * kMaxQueryGroup + 1; ++nq) {
       for (const size_t count : counts) {
         std::vector<std::vector<float>> qs;
         std::vector<const float*> q_ptrs;
@@ -253,15 +257,15 @@ void CheckGroupMatchesBatches(bool ip, bool use_portable) {
         std::vector<float*> accum_ptrs;
         for (size_t g = 0; g < nq; ++g) accum_ptrs.push_back(got[g].data());
         for (size_t g = 0; g < nq; ++g) {
-          batch(q_ptrs[g], rows.data(), count, w, expect[g].data(), shape);
+          batch(q_ptrs[g], rows.data(), count, w, expect[g].data());
         }
-        group(q_ptrs.data(), nq, rows.data(), count, w, accum_ptrs.data(),
-              shape);
+        group(q_ptrs.data(), nq, rows.data(), count, w, accum_ptrs.data());
         for (size_t g = 0; g < nq; ++g) {
           EXPECT_EQ(std::memcmp(got[g].data(), expect[g].data(),
                                 count * sizeof(float)),
                     0)
-              << (ip ? "ip" : "l2") << " width " << w << " nq " << nq
+              << kt.name << (ip ? " ip" : " l2") << " width " << w << " nq "
+              << nq
               << " count " << count << " query " << g;
         }
       }
@@ -270,97 +274,22 @@ void CheckGroupMatchesBatches(bool ip, bool use_portable) {
 }
 
 TEST(ScanKernelTest, L2GroupMatchesPerQueryBatchesBitwise) {
-  CheckGroupMatchesBatches(/*ip=*/false, /*use_portable=*/false);
+  for (const KernelTier tier : AvailableTiers()) {
+    CheckGroupMatchesBatches(tier, /*ip=*/false);
+  }
 }
 
 TEST(ScanKernelTest, IpGroupMatchesPerQueryBatchesBitwise) {
-  CheckGroupMatchesBatches(/*ip=*/true, /*use_portable=*/false);
+  for (const KernelTier tier : AvailableTiers()) {
+    CheckGroupMatchesBatches(tier, /*ip=*/true);
+  }
 }
 
 TEST(ScanKernelTest, PortableGroupMatchesPortableBatches) {
-  CheckGroupMatchesBatches(/*ip=*/false, /*use_portable=*/true);
-  CheckGroupMatchesBatches(/*ip=*/true, /*use_portable=*/true);
-}
-
-// --- Every shape is bit-transparent. -------------------------------------
-
-// row_block / query_tile / prefetch only reorder *which* frozen per-row
-// chains run concurrently, never the chains themselves, so a tier's shape
-// moves throughput and never results. Verify: for every shape in the grid,
-// the batch and group kernels reproduce the row-kernel results
-// bit-for-bit on the resolved table.
-TEST(ScanKernelTest, ShapedBatchBitIdenticalForAllShapes) {
-  const ScanKernelTable& kt = ScanKernels();
-  const size_t counts[] = {1, 3, 4, 5, 7, 8, 9, 17, 64};
-  for (const size_t w : {size_t{8}, size_t{16}, size_t{24}, size_t{100}}) {
-    const auto q = RandomVec(w, 61 * w);
-    for (const size_t n : counts) {
-      const auto rows = RandomVec(n * w, 67 * w + n);
-      std::vector<float> expect(n, 0.0f), expect_ip(n, 0.0f);
-      for (size_t i = 0; i < n; ++i) {
-        expect[i] = kt.l2_row(q.data(), rows.data() + i * w, w);
-        expect_ip[i] = kt.ip_row(q.data(), rows.data() + i * w, w);
-      }
-      for (const uint8_t rb : {uint8_t{4}, uint8_t{6}, uint8_t{8}}) {
-        for (const uint8_t pf : {uint8_t{0}, uint8_t{4}, uint8_t{8}}) {
-          const KernelShape shape{rb, 4, pf};
-          std::vector<float> accum(n, 0.0f);
-          kt.l2_batch(q.data(), rows.data(), n, w, accum.data(), shape);
-          ASSERT_EQ(
-              std::memcmp(accum.data(), expect.data(), n * sizeof(float)), 0)
-              << "l2 w=" << w << " n=" << n << " rb=" << int(rb)
-              << " pf=" << int(pf);
-          std::fill(accum.begin(), accum.end(), 0.0f);
-          kt.ip_batch(q.data(), rows.data(), n, w, accum.data(), shape);
-          ASSERT_EQ(
-              std::memcmp(accum.data(), expect_ip.data(), n * sizeof(float)),
-              0)
-              << "ip w=" << w << " n=" << n << " rb=" << int(rb)
-              << " pf=" << int(pf);
-        }
-      }
-    }
-  }
-}
-
-TEST(ScanKernelTest, ShapedGroupBitIdenticalForAllShapes) {
-  const ScanKernelTable& kt = ScanKernels();
-  const size_t count = 21;
-  for (const size_t w : {size_t{8}, size_t{24}, size_t{100}}) {
-    for (size_t nq = 1; nq <= kMaxQueryTile + 1; ++nq) {
-      std::vector<std::vector<float>> qs;
-      std::vector<const float*> q_ptrs;
-      for (size_t g = 0; g < nq; ++g) {
-        qs.push_back(RandomVec(w, 300 * w + g));
-        q_ptrs.push_back(qs.back().data());
-      }
-      const auto rows = RandomVec(count * w, 500 * w);
-      std::vector<std::vector<float>> expect(nq,
-                                             std::vector<float>(count, 0.0f));
-      for (size_t g = 0; g < nq; ++g) {
-        for (size_t i = 0; i < count; ++i) {
-          expect[g][i] = kt.l2_row(q_ptrs[g], rows.data() + i * w, w);
-        }
-      }
-      for (const uint8_t qt : {uint8_t{2}, uint8_t{4}, uint8_t{8}}) {
-        for (const uint8_t pf : {uint8_t{0}, uint8_t{4}}) {
-          std::vector<std::vector<float>> got(
-              nq, std::vector<float>(count, 0.0f));
-          std::vector<float*> accums;
-          for (size_t g = 0; g < nq; ++g) accums.push_back(got[g].data());
-          kt.l2_group(q_ptrs.data(), nq, rows.data(), count, w,
-                      accums.data(), KernelShape{4, qt, pf});
-          for (size_t g = 0; g < nq; ++g) {
-            ASSERT_EQ(std::memcmp(got[g].data(), expect[g].data(),
-                                  count * sizeof(float)),
-                      0)
-                << "w=" << w << " nq=" << nq << " qt=" << int(qt)
-                << " pf=" << int(pf) << " q=" << g;
-          }
-        }
-      }
-    }
-  }
+  // The portable pair is the reference on every host, whatever the other
+  // sweeps find available.
+  CheckGroupMatchesBatches(KernelTier::kPortable, /*ip=*/false);
+  CheckGroupMatchesBatches(KernelTier::kPortable, /*ip=*/true);
 }
 
 // --- AVX-512 tier: runtime-gated bitwise parity with the AVX2 family. ----
@@ -408,27 +337,16 @@ TEST_F(Avx512ParityTest, BatchKernelsMatchAvx2Bitwise) {
       const auto rows = RandomVec(n * w, 37 * w + n);
       auto a5 = RandomVec(n, 41 * w + n);
       std::vector<float> a2(a5);
-      // Each tier at its own default shape.
-      avx512::L2Batch(q.data(), rows.data(), n, w, a5.data(),
-                      DefaultShape(KernelTier::kAvx512, false));
-      avx2::L2Batch(q.data(), rows.data(), n, w, a2.data(),
-                    DefaultShape(KernelTier::kAvx2, false));
+      // Each tier at its own row block: AVX-512 blocks 8 rows, AVX2 4 (L2)
+      // and 6 (IP).
+      avx512::L2Batch(q.data(), rows.data(), n, w, a5.data());
+      avx2::L2Batch(q.data(), rows.data(), n, w, a2.data());
       ASSERT_EQ(std::memcmp(a5.data(), a2.data(), n * sizeof(float)), 0)
           << "l2 width " << w << " count " << n;
-      avx512::IpBatch(q.data(), rows.data(), n, w, a5.data(),
-                      DefaultShape(KernelTier::kAvx512, true));
-      avx2::IpBatch(q.data(), rows.data(), n, w, a2.data(),
-                    DefaultShape(KernelTier::kAvx2, true));
+      avx512::IpBatch(q.data(), rows.data(), n, w, a5.data());
+      avx2::IpBatch(q.data(), rows.data(), n, w, a2.data());
       ASSERT_EQ(std::memcmp(a5.data(), a2.data(), n * sizeof(float)), 0)
           << "ip width " << w << " count " << n;
-      // Shaped entries across the shape grid agree too.
-      for (const uint8_t rb : {uint8_t{4}, uint8_t{6}, uint8_t{8}}) {
-        const KernelShape shape{rb, 4, 2};
-        avx512::L2Batch(q.data(), rows.data(), n, w, a5.data(), shape);
-        avx2::L2Batch(q.data(), rows.data(), n, w, a2.data(), shape);
-        ASSERT_EQ(std::memcmp(a5.data(), a2.data(), n * sizeof(float)), 0)
-            << "shaped l2 width " << w << " count " << n << " rb=" << int(rb);
-      }
     }
   }
 }
@@ -436,7 +354,7 @@ TEST_F(Avx512ParityTest, BatchKernelsMatchAvx2Bitwise) {
 TEST_F(Avx512ParityTest, GroupKernelsMatchAvx2Bitwise) {
   const size_t counts[] = {1, 4, 17, 33};
   for (const size_t w : {size_t{16}, size_t{24}, size_t{48}, size_t{100}}) {
-    for (size_t nq = 1; nq <= kMaxQueryTile; ++nq) {
+    for (size_t nq = 1; nq <= 2 * kMaxQueryGroup + 1; ++nq) {
       for (const size_t count : counts) {
         std::vector<std::vector<float>> qs;
         std::vector<const float*> q_ptrs;
@@ -453,10 +371,8 @@ TEST_F(Avx512ParityTest, GroupKernelsMatchAvx2Bitwise) {
           p5.push_back(g5[g].data());
           p2.push_back(g2[g].data());
         }
-        avx512::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p5.data(),
-                        DefaultShape(KernelTier::kAvx512, true));
-        avx2::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p2.data(),
-                      DefaultShape(KernelTier::kAvx2, true));
+        avx512::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p5.data());
+        avx2::IpGroup(q_ptrs.data(), nq, rows.data(), count, w, p2.data());
         for (size_t g = 0; g < nq; ++g) {
           ASSERT_EQ(std::memcmp(g5[g].data(), g2[g].data(),
                                 count * sizeof(float)),
@@ -583,7 +499,7 @@ void CheckScanBlockParity(Metric metric, bool prune, bool use_norms) {
   p.q_slice = blk.query.data() + blk.range.begin;
   p.width = blk.range.width();
   p.slices = blk.slices.data();
-  p.dispatch = DefaultDispatch(metric);
+  p.kernels = &ScanKernels();
 
   // Pick tau at the median prune bound so roughly half the candidates drop.
   if (prune) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "cli.h"
+#include "index/kernel_tune.h"
 #include "serve/serving.h"
 #include "workload/ground_truth.h"
 
@@ -101,7 +102,7 @@ Status RunSearch(const CliArgs& args) {
   HARMONY_ASSIGN_OR_RETURN(World world, BuildWorld(args, /*announce=*/true));
   const HarmonyOptions& options = world.options;
   const DatasetView queries = world.queries.View();
-  // The tier + tile shapes every scan stage runs with.
+  // The tier every scan stage runs, with its tile constants.
   std::printf("kernels: tier=%s\n",
               ResolveKernelTune(options.kernel_tier).ToString().c_str());
   if (options.use_pq_streams) {
